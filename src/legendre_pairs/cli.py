@@ -26,12 +26,6 @@ def _parse_subgroup(length: int, text: str) -> nt.Subgroup:
     return nt.Subgroup(length, tuple(int(x) for x in text.split(",")))
 
 
-def _parse_polarity(text: str) -> int:
-    if text not in ("plus", "minus"):
-        raise ValueError(f"polarity must be plus or minus, got {text!r}")
-    return 1 if text == "plus" else -1
-
-
 def _format_triples(triples) -> str:
     return ", ".join("[" + ", ".join(str(v) for v in t) + "]" for t in triples)
 
@@ -93,7 +87,7 @@ def cmd_alg2(args) -> int:
 def cmd_decode(args) -> int:
     sub = _parse_subgroup(args.l, args.subgroup)
     decomp = nt.orbit_decomposition(args.l, sub)
-    polarity = _parse_polarity(args.polarity)
+    polarity = ranking.parse_polarity(args.polarity)
     if args.indices:
         indices = [int(x) for x in args.indices.split(",")]
         sel = ranking.indices_to_selection(decomp, indices, polarity)
@@ -114,7 +108,7 @@ def cmd_decode(args) -> int:
 def cmd_search(args) -> int:
     sub = _parse_subgroup(args.l, args.subgroup)
     comp = ranking.parse_composition(args.composition)
-    polarity = _parse_polarity(args.polarity)
+    polarity = ranking.parse_polarity(args.polarity)
     decomp = nt.orbit_decomposition(args.l, sub)
     counts = ranking.composition_counts(decomp, comp)
     allowed = None
@@ -152,7 +146,7 @@ def cmd_match(args) -> int:
         for rec_file in sorted(rec_files):
             records.extend(se.read_records(rec_file))
         record_sets.append((plan, records))
-    matches = se.match_candidates(record_sets, verify=args.verify)
+    matches = se.match_candidates(record_sets)
     verified = [m for m in matches if m.verified]
     false_candidates = sum(1 for m in matches if not m.verified)
     print(f"{len(matches)} fingerprint matches; {len(verified)} verified pairs; "
@@ -167,8 +161,8 @@ def _decode_pair_record(rec: dict) -> tuple[sq.BinarySequence, sq.BinarySequence
     length = rec["l"]
     sub = nt.Subgroup(length, tuple(rec["subgroup"]))
     decomp = nt.orbit_decomposition(length, sub)
-    pol_a = 1 if rec.get("polarity_a", "plus") == "plus" else -1
-    pol_b = 1 if rec.get("polarity_b", "plus") == "plus" else -1
+    pol_a = ranking.parse_polarity(rec.get("polarity_a", "plus"))
+    pol_b = ranking.parse_polarity(rec.get("polarity_b", "plus"))
     a = ranking.decode_selection(ranking.indices_to_selection(decomp, rec["I_A"], pol_a))
     b = ranking.decode_selection(ranking.indices_to_selection(decomp, rec["I_B"], pol_b))
     return a, b
@@ -220,7 +214,7 @@ def cmd_pipeline(args) -> int:
     if args.polarity == "both":
         polarities: tuple[int, ...] = (1, -1)
     else:
-        polarities = (_parse_polarity(args.polarity),)
+        polarities = (ranking.parse_polarity(args.polarity),)
     plans = pipeline.build_plans(
         args.l, sub, comps, polarities, use_third_filter=not args.no_third_filter
     )
@@ -298,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match candidate records and verify pairs")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("records", nargs="+", help="record files (plan.json read from their directories)")
-    p.add_argument("--verify", action="store_true", default=True)
     p.add_argument("--emit-pairs", help="write verified pairs as JSON")
     p.set_defaults(func=cmd_match)
 

@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
+from .sequences import psd_quadratic_form
+
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -110,13 +112,22 @@ class OrbitDecomposition:
     size_counts: dict[int, int] = field(init=False)
     #: (size, residue mod 3) -> orbit count; empty unless all h = 1 (mod 3)
     residue_counts: dict[tuple[int, int], int] = field(init=False)
+    #: every orbit but the orbit of 0
+    nonzero_orbits: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    #: size -> nonzero orbits of that size, ascending minimal representative
+    orbits_by_size: dict[int, tuple[tuple[int, ...], ...]] = field(init=False, compare=False)
+    #: minimal representative -> its nonzero orbit
+    orbit_of_rep: dict[int, tuple[int, ...]] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        counts: dict[int, int] = {}
-        for orb in self.nonzero_orbits:
-            counts[len(orb)] = counts.get(len(orb), 0) + 1
-        object.__setattr__(self, "sizes", tuple(sorted(counts)))
-        object.__setattr__(self, "size_counts", counts)
+        nonzero = tuple(orb for orb in self.orbits if orb != (0,))
+        sizes = tuple(sorted({len(orb) for orb in nonzero}))
+        by_size = {size: tuple(orb for orb in nonzero if len(orb) == size) for size in sizes}
+        object.__setattr__(self, "nonzero_orbits", nonzero)
+        object.__setattr__(self, "orbits_by_size", by_size)
+        object.__setattr__(self, "orbit_of_rep", {orb[0]: orb for orb in nonzero})
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "size_counts", {size: len(by_size[size]) for size in sizes})
         rc: dict[tuple[int, int], int] = {}
         if self.modulus % 3 == 0 and all(h % 3 == 1 for h in self.subgroup):
             for orb in self.nonzero_orbits:
@@ -130,13 +141,34 @@ class OrbitDecomposition:
     def modulus(self) -> int:
         return self.subgroup.modulus
 
-    @property
-    def nonzero_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(orb for orb in self.orbits if orb != (0,))
-
-    def orbits_of_size(self, size: int) -> list[tuple[int, ...]]:
+    def orbits_of_size(self, size: int) -> tuple[tuple[int, ...], ...]:
         """Nonzero orbits of one size, ascending minimal representative."""
-        return [orb for orb in self.nonzero_orbits if len(orb) == size]
+        return self.orbits_by_size.get(size, ())
+
+
+def representative_lags(decomp: OrbitDecomposition) -> list[int]:
+    """One lag per orbit of <H, -1> acting on 1..(l-1)/2.
+
+    PSD is constant on these classes for orbit-closed sequences, so the
+    bound test only needs the representatives.
+    """
+    length = decomp.modulus
+    half = (length - 1) // 2
+    seen = set()
+    reps = []
+    for k in range(1, half + 1):
+        if k in seen:
+            continue
+        orbit = set()
+        frontier = {k, length - k}
+        while frontier:
+            orbit |= frontier
+            frontier = {
+                (h * x) % length for h in decomp.subgroup for x in orbit
+            } - orbit
+        reps.append(k)
+        seen |= {x if x <= half else length - x for x in orbit}
+    return reps
 
 
 @lru_cache(maxsize=256)
@@ -273,6 +305,23 @@ def spectrum_mod3(length: int) -> list[SpectrumEntry]:
     ]
 
 
+def third_psd_from_counts(length: int, residue_counts: Iterable[Sequence[int]]) -> int:
+    """Exact PSD at lag l/3 from the residues mod 3 of the marked positions.
+
+    Each item gives the numbers of marked positions = 0, 1, 2 (mod 3) in one
+    orbit, or in one group of orbits.  The marked positions hold one sign and
+    every other position, 0 included, the opposite sign; the value is the same
+    for either sign.
+    """
+    m = length // 3
+    k0 = k1 = k2 = 0
+    for n0, n1, n2 in residue_counts:
+        k0 += n0
+        k1 += n1
+        k2 += n2
+    return psd_quadratic_form(2 * k1 - m, 2 * k2 - m, 2 * k0 - m)
+
+
 def orbit_psd_values(decomp: OrbitDecomposition, counts: Sequence[int]) -> list[int]:
     """PSD values at lag l/3 compatible with choosing counts[i] orbits per size.
 
@@ -292,7 +341,6 @@ def orbit_psd_values(decomp: OrbitDecomposition, counts: Sequence[int]) -> list[
     for c, size in zip(counts, sizes):
         if not 0 <= c <= decomp.size_counts[size]:
             raise ValueError(f"count {c} out of range for size-{size} orbits")
-    m = length // 3
     n = {
         (i, j): decomp.residue_counts.get((size, j), 0)
         for i, size in enumerate(sizes)
@@ -309,12 +357,10 @@ def orbit_psd_values(decomp: OrbitDecomposition, counts: Sequence[int]) -> list[
         per_class.append(choices)
     values = set()
     for combo in product(*per_class):
-        a1 = -m + 2 * sum(s * k1 for s, (k1, _) in zip(sizes, combo))
-        a2 = -m + 2 * sum(s * k2 for s, (_, k2) in zip(sizes, combo))
-        a3 = -m + 2 * sum(
-            s * (c - k1 - k2) for s, c, (k1, k2) in zip(sizes, counts, combo)
-        )
-        values.add(a1 * a1 + a2 * a2 + a3 * a3 - a1 * a2 - a1 * a3 - a2 * a3)
+        values.add(third_psd_from_counts(length, (
+            (s * (c - k1 - k2), s * k1, s * k2)
+            for s, c, (k1, k2) in zip(sizes, counts, combo)
+        )))
     return sorted(values)
 
 

@@ -28,10 +28,9 @@ def all_normalized_sequences(length: int) -> list[BinarySequence]:
     return out
 
 
-def _paf_profiles(seqs: list[BinarySequence]) -> np.ndarray:
+def _paf_profiles(seqs: list[BinarySequence], length: int) -> np.ndarray:
     """PAF values at lags 1..(l-1)/2 for each sequence, one row per sequence."""
-    arr = np.array([s.entries for s in seqs], dtype=np.int64)
-    length = arr.shape[1]
+    arr = np.array([s.entries for s in seqs], dtype=np.int64).reshape(len(seqs), length)
     half = (length - 1) // 2
     profiles = np.empty((len(seqs), half), dtype=np.int64)
     for lag in range(1, half + 1):
@@ -56,7 +55,7 @@ def brute_force_pairs(
             if all(frozenset((h * x) % length for x in plus) == plus for h in subgroup):
                 kept.append(s)
         seqs = kept
-    profiles = _paf_profiles(seqs)
+    profiles = _paf_profiles(seqs, length)
     by_profile: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(profiles):
         by_profile.setdefault(tuple(row), []).append(i)

@@ -70,7 +70,7 @@ def build_plans(
         if compositions is None:
             comps = ranking.compositions_for(decomp, polarity)
         else:
-            target = (length + 1) // 2 if polarity == 1 else (length - 1) // 2
+            target = ranking.coverage_target(length, polarity)
             comps = [c for c in compositions if ranking.coverage(c) == target]
         for comp in comps:
             counts = ranking.composition_counts(decomp, comp)
@@ -152,8 +152,8 @@ def pair_record(match: MatchResult) -> dict:
         "psd_third": list(match.pair.psd_third) if match.pair.psd_third else None,
         "composition_a": ranking.format_composition(plan_a.composition),
         "composition_b": ranking.format_composition(plan_b.composition),
-        "polarity_a": "plus" if plan_a.polarity == 1 else "minus",
-        "polarity_b": "plus" if plan_b.polarity == 1 else "minus",
+        "polarity_a": ranking.format_polarity(plan_a.polarity),
+        "polarity_b": ranking.format_polarity(plan_b.polarity),
     }
 
 

@@ -92,14 +92,37 @@ def space_size(decomp: OrbitDecomposition, comp: Composition) -> int:
     return total
 
 
-def compositions_for(decomp: OrbitDecomposition, polarity: int) -> list[Composition]:
-    """All compositions whose coverage matches the polarity's target size.
+_POLARITY_NAMES = {1: "plus", -1: "minus"}
 
-    The target is (l+1)/2 positions when the chosen orbits mark +1's and
-    (l-1)/2 when they mark -1's, so that decoded sequences sum to +1.
+
+def format_polarity(polarity: int) -> str:
+    """``plus`` or ``minus`` for the value +1 or -1 placed on the chosen orbits."""
+    try:
+        return _POLARITY_NAMES[polarity]
+    except KeyError:
+        raise ValueError(f"polarity must be +1 or -1, got {polarity!r}") from None
+
+
+def parse_polarity(name: str) -> int:
+    """Inverse of :func:`format_polarity`; any other string is an error."""
+    for polarity, known in _POLARITY_NAMES.items():
+        if name == known:
+            return polarity
+    raise ValueError(f"polarity must be plus or minus, got {name!r}")
+
+
+def coverage_target(length: int, polarity: int) -> int:
+    """Positions the chosen orbits must cover so that decoded sequences sum to +1.
+
+    That is (l+1)/2 when they mark +1's and (l-1)/2 when they mark -1's.
     """
-    length = decomp.modulus
-    target = (length + 1) // 2 if polarity == 1 else (length - 1) // 2
+    format_polarity(polarity)  # rejects anything but +1 and -1
+    return (length + polarity) // 2
+
+
+def compositions_for(decomp: OrbitDecomposition, polarity: int) -> list[Composition]:
+    """All compositions whose coverage matches the polarity's target size."""
+    target = coverage_target(decomp.modulus, polarity)
     sizes = decomp.sizes
     ranges = [range(decomp.size_counts[s] + 1) for s in sizes]
     out = []
@@ -118,27 +141,20 @@ class OrbitSelection:
     polarity: int  # +1 or -1: the value placed on the chosen orbits
 
     def __post_init__(self) -> None:
-        if self.polarity not in (1, -1):
-            raise ValueError("polarity must be +1 or -1")
-        length = self.decomp.modulus
-        reps = {orb[0]: orb for orb in self.decomp.nonzero_orbits}
+        target = coverage_target(self.decomp.modulus, self.polarity)
+        orbit_of_rep = self.decomp.orbit_of_rep
         covered = 0
         for r in self.chosen:
-            if r not in reps:
+            if r not in orbit_of_rep:
                 raise ValueError(f"{r} is not a nonzero orbit representative")
-            covered += len(reps[r])
-        target = (length + 1) // 2 if self.polarity == 1 else (length - 1) // 2
+            covered += len(orbit_of_rep[r])
         if covered != target:
             raise ValueError(
                 f"chosen orbits cover {covered} positions, need {target} for polarity {self.polarity:+d}"
             )
 
     def covered_residues(self) -> set[int]:
-        reps = {orb[0]: orb for orb in self.decomp.nonzero_orbits}
-        out: set[int] = set()
-        for r in self.chosen:
-            out.update(reps[r])
-        return out
+        return {x for r in self.chosen for x in self.decomp.orbit_of_rep[r]}
 
 
 def decode_orbits(
@@ -149,10 +165,7 @@ def decode_orbits(
     No coverage validation; flipping ``value`` negates the result.
     """
     length = decomp.modulus
-    reps = {orb[0]: orb for orb in decomp.nonzero_orbits}
-    covered: set[int] = set()
-    for r in chosen:
-        covered.update(reps[r])
+    covered = {x for r in chosen for x in decomp.orbit_of_rep[r]}
     entries = []
     for position in range(1, length + 1):
         entries.append(value if position % length in covered else -value)

@@ -15,14 +15,20 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ranking
-from .nt import OrbitDecomposition, Subgroup, orbit_decomposition
+from .nt import (
+    OrbitDecomposition,
+    Subgroup,
+    orbit_decomposition,
+    representative_lags,
+    third_psd_from_counts,
+)
 from .ranking import Composition
-from .sequences import EPS, BinarySequence, psd, psd_quadratic_form
+from .sequences import EPS, BinarySequence, psd
 from .verify import LegendrePairResult, verify_pair
 
 
@@ -110,7 +116,7 @@ class SearchPlan:
             "length": self.length,
             "subgroup": list(self.subgroup),
             "composition": ranking.format_composition(self.composition),
-            "polarity": "plus" if self.polarity == 1 else "minus",
+            "polarity": ranking.format_polarity(self.polarity),
             "rank_range": list(self.rank_range) if self.rank_range else None,
             "allowed_third_psd": sorted(self.allowed_third_psd) if self.allowed_third_psd else None,
             "eps": self.eps,
@@ -122,7 +128,7 @@ class SearchPlan:
             length=data["length"],
             subgroup=tuple(data["subgroup"]),
             composition=ranking.parse_composition(data["composition"]),
-            polarity=1 if data["polarity"] == "plus" else -1,
+            polarity=ranking.parse_polarity(data["polarity"]),
             rank_range=tuple(data["rank_range"]) if data.get("rank_range") else None,
             allowed_third_psd=(
                 frozenset(data["allowed_third_psd"]) if data.get("allowed_third_psd") else None
@@ -138,40 +144,6 @@ class SearchStats:
     stage2_survivors: int = 0
 
 
-def representative_lags(decomp: OrbitDecomposition) -> list[int]:
-    """One lag per orbit of <H, -1> acting on 1..(l-1)/2.
-
-    PSD is constant on these classes for orbit-closed sequences, so the
-    bound test only needs the representatives.
-    """
-    length = decomp.modulus
-    half = (length - 1) // 2
-    seen = set()
-    reps = []
-    for k in range(1, half + 1):
-        if k in seen:
-            continue
-        orbit = set()
-        frontier = {k, length - k}
-        while frontier:
-            orbit |= frontier
-            frontier = {
-                (h * x) % length for h in decomp.subgroup for x in orbit
-            } - orbit
-        reps.append(k)
-        seen |= {x if x <= half else length - x for x in orbit}
-    return reps
-
-
-def _orbit_residue_classes(decomp: OrbitDecomposition) -> list[tuple[int, int]]:
-    """(size, residue mod 3) per nonzero orbit, in ascending-size class order."""
-    out = []
-    for size in decomp.sizes:
-        for orb in decomp.orbits_of_size(size):
-            out.append((size, orb[0] % 3))
-    return out
-
-
 def run_search(
     plan: SearchPlan,
     sink: Callable[[CandidateRecord], None],
@@ -185,7 +157,6 @@ def run_search(
     intervals and once at the end.
     """
     decomp = plan.decomposition()
-    comp = plan.composition
     lo, hi = plan.resolved_range()
     stats = SearchStats()
     mod3 = plan.length % 3 == 0
@@ -193,16 +164,11 @@ def run_search(
     if allowed is not None and not mod3:
         raise ValueError("allowed_third_psd requires a length divisible by 3")
 
-    m = plan.length // 3
-    # per size class: list of residue classes of its orbits (stage-1 fast path)
-    class_residues = {
-        size: [orb[0] % 3 for orb in decomp.orbits_of_size(size)] for size in decomp.sizes
+    # numbers of elements = 0, 1, 2 (mod 3) in each orbit, by representative
+    residue_counts = {
+        rep: tuple(sum(1 for x in orb if x % 3 == j) for j in range(3))
+        for rep, orb in decomp.orbit_of_rep.items()
     }
-    class_orbits = {size: decomp.orbits_of_size(size) for size in decomp.sizes}
-    radices = [
-        (size, count, math.comb(decomp.size_counts.get(size, 0), count))
-        for size, count in comp
-    ]
     rep_lags = representative_lags(decomp)
     bound = plan.psd_bound
 
@@ -213,55 +179,22 @@ def run_search(
             checkpoint(hi - 1)
         return stats
 
+    def stage1(sel: ranking.OrbitSelection) -> bool:
+        """Exact lag-l/3 test: the PSD value is within the bound and allowed."""
+        if not mod3:
+            return True
+        third = third_psd_from_counts(plan.length, (residue_counts[r] for r in sel.chosen))
+        return third <= bound and (allowed is None or third in allowed)
+
     for rank in range(lo, hi):
         stats.scanned += 1
-        # mixed-radix digits, first class most significant
-        digits = []
-        r = rank
-        for _, _, radix in reversed(radices):
-            digits.append(r % radix)
-            r //= radix
-        digits.reverse()
-        chosen_per_class = [
-            ranking.subset_unrank(d, count, len(class_orbits[size]))
-            for (size, count, _), d in zip(radices, digits)
-        ]
-        if mod3:
-            k = [0, 0, 0]
-            for (size, count, _), subset in zip(radices, chosen_per_class):
-                residues = class_residues[size]
-                for idx in subset:
-                    k[residues[idx - 1]] += size
-            a1, a2, a3 = 2 * k[1] - m, 2 * k[2] - m, 2 * k[0] - m
-            third = psd_quadratic_form(a1, a2, a3)
-            if allowed is not None and third not in allowed:
-                if checkpoint and (stats.scanned % checkpoint_every == 0 or rank == hi - 1):
-                    checkpoint(rank)
-                continue
-            if third > bound:
-                if checkpoint and (stats.scanned % checkpoint_every == 0 or rank == hi - 1):
-                    checkpoint(rank)
-                continue
-        stats.stage1_survivors += 1
-        chosen_reps = tuple(
-            sorted(
-                class_orbits[size][idx - 1][0]
-                for (size, _, _), subset in zip(radices, chosen_per_class)
-                for idx in subset
-            )
-        )
-        seq = ranking.decode_selection(
-            ranking.OrbitSelection(decomp, chosen_reps, plan.polarity)
-        )
-        ok = True
-        for lag in rep_lags:
-            if psd(seq, lag) > bound:
-                ok = False
-                break
-        if ok:
-            stats.stage2_survivors += 1
-            fp1, fp2 = fingerprint(seq)
-            sink(CandidateRecord(rank, fp1, fp2))
+        sel = ranking.rank_to_selection(rank, decomp, plan.composition, plan.polarity)
+        if stage1(sel):
+            stats.stage1_survivors += 1
+            seq = ranking.decode_selection(sel)
+            if all(psd(seq, lag) <= bound for lag in rep_lags):
+                stats.stage2_survivors += 1
+                sink(CandidateRecord(rank, *fingerprint(seq)))
         if checkpoint and (stats.scanned % checkpoint_every == 0 or rank == hi - 1):
             checkpoint(rank)
     return stats
@@ -328,7 +261,6 @@ def _external_sort(
 
 def match_candidates(
     record_sets: Sequence[tuple[SearchPlan, Iterable[CandidateRecord]]],
-    verify: bool = True,
     sort_chunk_size: int = 1_000_000,
 ) -> list[MatchResult]:
     """Sort-merge join of records on fp1(x) = fp2(y), with exact re-verification.
@@ -382,16 +314,13 @@ def match_candidates(
                     if pair_key in seen:
                         continue
                     seen.add(pair_key)
-                    if verify:
-                        res = verify_pair(decode(pi_a, rank_a), decode(pi_b, rank_b))
-                        results.append(
-                            MatchResult(
-                                plans[pi_a], rank_a, plans[pi_b], rank_b,
-                                bool(res), res if res else None,
-                            )
+                    res = verify_pair(decode(pi_a, rank_a), decode(pi_b, rank_b))
+                    results.append(
+                        MatchResult(
+                            plans[pi_a], rank_a, plans[pi_b], rank_b,
+                            bool(res), res if res else None,
                         )
-                    else:
-                        results.append(MatchResult(plans[pi_a], rank_a, plans[pi_b], rank_b, False))
+                    )
             i, j = i2, j2
     return results
 

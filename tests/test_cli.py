@@ -135,6 +135,18 @@ class TestSearchMatchVerifyHadamard:
         assert len(grid) == 28 and set("".join(grid)) <= {"+", "-"}
 
 
+class TestMatchFailures:
+    def test_misspelled_plan_polarity_exits_2(self, capsys, tmp_path):
+        plan_dir = tmp_path / "plan"
+        plan_dir.mkdir()
+        (plan_dir / "plan.json").write_text(json.dumps({
+            "length": 13, "subgroup": [1], "composition": "7x1", "polarity": "pluss",
+        }))
+        (plan_dir / "part-0000.rec").write_text("")
+        code, _, err = run(capsys, "match", "--l", "13", str(plan_dir / "part-0000.rec"))
+        assert code == 2 and "pluss" in err
+
+
 class TestVerifyFailures:
     def test_bad_pair_exits_3(self, capsys, tmp_path):
         rec = {
@@ -173,3 +185,8 @@ class TestOracleCommand:
     def test_with_subgroup(self, capsys):
         code, out, _ = run(capsys, "oracle", "--l", "15", "--subgroup", "1,4")
         assert code == 0 and "21 normalized Legendre pairs" in out
+
+    def test_no_orbit_closed_sequences(self, capsys):
+        # the orbit sizes under this subgroup are 1, 1, 1, 6, 6, 6: none sum to 11
+        code, out, _ = run(capsys, "oracle", "--l", "21", "--subgroup", "1,4,10,13,16,19")
+        assert code == 0 and "0 normalized Legendre pairs of length 21" in out

@@ -9,11 +9,14 @@ from legendre_pairs.ranking import (
     compositions_for,
     composition_counts,
     coverage,
+    coverage_target,
     decode_orbits,
     decode_selection,
     format_composition,
+    format_polarity,
     indices_to_selection,
     parse_composition,
+    parse_polarity,
     rank_to_selection,
     rank_to_sequence,
     selection_to_rank,
@@ -84,6 +87,27 @@ class TestComposition:
     def test_composition_counts(self):
         decomp = decomp_for(117, kp.SUBGROUP_117)
         assert composition_counts(decomp, parse_composition("2x1+19x3")) == (2, 19)
+
+
+class TestPolarity:
+    def test_round_trip(self):
+        for polarity in (1, -1):
+            assert parse_polarity(format_polarity(polarity)) == polarity
+        assert format_polarity(1) == "plus" and format_polarity(-1) == "minus"
+
+    @pytest.mark.parametrize("name", ["pluss", "Plus", "", "+1"])
+    def test_parse_is_strict(self, name):
+        with pytest.raises(ValueError):
+            parse_polarity(name)
+
+    def test_format_is_strict(self):
+        with pytest.raises(ValueError):
+            format_polarity(0)
+
+    def test_coverage_target(self):
+        assert coverage_target(117, 1) == 59 and coverage_target(117, -1) == 58
+        with pytest.raises(ValueError):
+            coverage_target(117, 0)
 
 
 class TestSelection:

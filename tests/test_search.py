@@ -12,13 +12,13 @@ from legendre_pairs import (
     run_search,
     split_ranges,
 )
+from legendre_pairs.nt import representative_lags
 from legendre_pairs.oracle import brute_force_pairs
 from legendre_pairs.pipeline import build_plans, run_pipeline, third_psd_filter
 from legendre_pairs.search import (
     fingerprint_lags,
     read_plan,
     read_records,
-    representative_lags,
     run_chunk,
     write_plan,
     _external_sort,
@@ -99,9 +99,13 @@ class TestRepresentativeLags:
 
 
 class TestRunSearch:
-    def test_small_space_finds_oracle_pairs(self):
-        # l = 15, trivial subgroup: search both polarities and match
-        sub = Subgroup(15, (1,))
+    @pytest.mark.parametrize(
+        "elements", [(1,), (1, 11), (1, 2, 4, 8)], ids=["H1", "H1-11", "H1-2-4-8"]
+    )
+    def test_small_space_finds_oracle_pairs(self, elements):
+        # l = 15: search both polarities and match.  Elements = 2 (mod 3) mix
+        # residue classes within an orbit, which stage 1 must account for.
+        sub = Subgroup(15, elements)
         plans = build_plans(15, sub, use_third_filter=True)
         record_sets = []
         for plan in plans:
@@ -113,7 +117,7 @@ class TestRunSearch:
             for m in matches
             if m.verified
         }
-        assert found == brute_force_pairs(15)
+        assert found == brute_force_pairs(15, sub)
 
     def test_stage1_annihilates_on_empty_filter(self):
         plan = SearchPlan(
@@ -190,6 +194,12 @@ class TestMatching:
 
 
 class TestPlanPersistence:
+    def test_plan_polarity_is_strict(self):
+        data = SearchPlan(9, (1,), ((1, 5),), 1).to_dict()
+        data["polarity"] = "pluss"
+        with pytest.raises(ValueError):
+            SearchPlan.from_dict(data)
+
     def test_plan_json_round_trip(self, tmp_path):
         plan = SearchPlan(
             117,
@@ -242,3 +252,8 @@ class TestPipeline:
         pairs1 = {frozenset((p.a.entries, p.b.entries)) for p in r1.pairs}
         pairs2 = {frozenset((p.a.entries, p.b.entries)) for p in r2.pairs}
         assert pairs1 == pairs2
+
+
+class TestOracle:
+    def test_no_orbit_closed_sequences(self):
+        assert brute_force_pairs(21, Subgroup(21, (1, 4, 10, 13, 16, 19))) == set()
