@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import nt, oracle, pipeline, ranking
@@ -109,19 +110,16 @@ def cmd_search(args) -> int:
     sub = _parse_subgroup(args.l, args.subgroup)
     comp = ranking.parse_composition(args.composition)
     polarity = ranking.parse_polarity(args.polarity)
-    decomp = nt.orbit_decomposition(args.l, sub)
-    counts = ranking.composition_counts(decomp, comp)
-    allowed = None
-    if not args.no_third_filter:
-        allowed = pipeline.third_psd_filter(args.l, sub, counts)
+    plans = pipeline.build_plans(
+        args.l, sub, [comp], (polarity,), use_third_filter=not args.no_third_filter
+    )
+    if not plans:
+        raise ValueError(f"composition {args.composition} does not fit polarity {args.polarity}")
     rank_range = None
     if args.range:
         lo, _, hi = args.range.partition(":")
         rank_range = (int(lo), int(hi))
-    plan = se.SearchPlan(
-        args.l, sub.elements, comp, polarity,
-        rank_range=rank_range, allowed_third_psd=allowed,
-    )
+    plan = replace(plans[0], rank_range=rank_range)
     out_dir = Path(args.out)
     stats = pipeline.run_plan_workers(plan, out_dir, args.workers, args.checkpoint_every)
     scanned = sum(s.scanned for s in stats)
@@ -133,19 +131,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_match(args) -> int:
-    by_plan_dir: dict[Path, list[Path]] = {}
-    for path_str in args.records:
-        path = Path(path_str)
-        by_plan_dir.setdefault(path.parent, []).append(path)
-    record_sets = []
-    for plan_dir, rec_files in sorted(by_plan_dir.items()):
-        plan = se.read_plan(plan_dir)
+    record_sets = pipeline.load_record_sets(Path(p) for p in args.records)
+    for plan, _ in record_sets:
         if plan.length != args.l:
-            raise ValueError(f"plan in {plan_dir} has length {plan.length}, expected {args.l}")
-        records = []
-        for rec_file in sorted(rec_files):
-            records.extend(se.read_records(rec_file))
-        record_sets.append((plan, records))
+            raise ValueError(f"records of a plan of length {plan.length}, expected {args.l}")
     matches = se.match_candidates(record_sets)
     verified = [m for m in matches if m.verified]
     false_candidates = sum(1 for m in matches if not m.verified)

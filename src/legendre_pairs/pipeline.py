@@ -9,9 +9,11 @@ checkpoint sidecars; matching joins records across all plans of the run.
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import ranking
 from .nt import (
@@ -22,9 +24,11 @@ from .nt import (
 )
 from .ranking import Composition
 from .search import (
+    CandidateRecord,
     MatchResult,
     SearchPlan,
     SearchStats,
+    fingerprint_lags,
     match_candidates,
     read_plan,
     read_records,
@@ -61,7 +65,6 @@ def build_plans(
     compositions: list[Composition] | None = None,
     polarities: tuple[int, ...] = (1, -1),
     use_third_filter: bool = True,
-    eps: float | None = None,
 ) -> list[SearchPlan]:
     """Plans for the given compositions, or a full sweep when none are given."""
     decomp = orbit_decomposition(length, subgroup)
@@ -75,7 +78,6 @@ def build_plans(
         for comp in comps:
             counts = ranking.composition_counts(decomp, comp)
             allowed = third_psd_filter(length, subgroup, counts) if use_third_filter else None
-            kwargs = {"eps": eps} if eps is not None else {}
             plans.append(
                 SearchPlan(
                     length=length,
@@ -83,7 +85,6 @@ def build_plans(
                     composition=comp,
                     polarity=polarity,
                     allowed_third_psd=allowed,
-                    **kwargs,
                 )
             )
     return plans
@@ -102,8 +103,8 @@ def run_plan_workers(
     plan: SearchPlan, directory: Path, workers: int = 1, checkpoint_every: int = 100_000
 ) -> list[SearchStats]:
     """Run one plan's rank range split across workers, one record file each."""
-    write_plan(directory, plan)
     lo, hi = plan.resolved_range()
+    write_plan(directory, plan)
     ranges = split_ranges(hi - lo, workers)
     jobs = [
         (plan, lo + rlo, lo + rhi, directory / f"part-{i:04d}.rec")
@@ -119,17 +120,39 @@ def run_plan_workers(
         return [f.result() for f in futures]
 
 
+def _checked_records(plan: SearchPlan, record_files: list[Path]) -> Iterator[CandidateRecord]:
+    """The records of the files, one file at a time, checked against the plan."""
+    lo, hi = plan.resolved_range()
+    hex_fingerprint = re.compile(f"[0-9a-f]{{{len(fingerprint_lags(plan.length))}}}")
+    for path in record_files:
+        for rec in read_records(path):
+            hex_ok = hex_fingerprint.fullmatch(rec.fp1) and hex_fingerprint.fullmatch(rec.fp2)
+            if not (hex_ok and lo <= rec.rank < hi):
+                raise ValueError(f"{path}: malformed record {rec.line()!r}")
+            yield rec
+
+
+def load_record_sets(
+    record_files: Iterable[Path],
+) -> list[tuple[SearchPlan, Iterator[CandidateRecord]]]:
+    """Record sets for ``match_candidates``: one per plan directory, with the
+    records of its files read lazily, one file at a time.  A record whose
+    fingerprints are not lowercase hex of the plan's width, or whose rank is
+    outside the plan's range, raises ValueError."""
+    by_plan_dir: dict[Path, list[Path]] = {}
+    for path in record_files:
+        by_plan_dir.setdefault(path.parent, []).append(path)
+    record_sets = []
+    for plan_dir, paths in sorted(by_plan_dir.items()):
+        plan = read_plan(plan_dir)
+        record_sets.append((plan, _checked_records(plan, sorted(paths))))
+    return record_sets
+
+
 def match_run(run_dir: Path) -> tuple[list[MatchResult], list[LegendrePairResult], int]:
     """Match and verify all records under a run directory."""
-    record_sets = []
-    for plan_dir in sorted(p for p in run_dir.iterdir() if (p / "plan.json").exists()):
-        plan = read_plan(plan_dir)
-        records = []
-        for rec_file in sorted(plan_dir.glob("part-*.rec")):
-            records.extend(read_records(rec_file))
-        record_sets.append((plan, records))
-    matches = match_candidates(record_sets)
-    pairs = [m.pair for m in matches if m.verified and m.pair is not None]
+    matches = match_candidates(load_record_sets(run_dir.glob("*/part-*.rec")))
+    pairs = [m.pair for m in matches if m.verified]
     false_candidates = sum(1 for m in matches if not m.verified)
     return matches, pairs, false_candidates
 
@@ -158,12 +181,8 @@ def pair_record(match: MatchResult) -> dict:
 
 
 def write_pairs(path: Path, matches: list[MatchResult]) -> None:
-    records = [pair_record(m) for m in matches if m.verified and m.pair is not None]
+    records = [pair_record(m) for m in matches if m.verified]
     path.write_text(json.dumps(records, indent=2) + "\n")
-
-
-def load_pairs(path: Path) -> list[dict]:
-    return json.loads(path.read_text())
 
 
 def run_pipeline(

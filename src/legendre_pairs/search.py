@@ -16,6 +16,9 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -68,10 +71,7 @@ class CandidateRecord:
 
     @classmethod
     def parse(cls, line: str) -> "CandidateRecord":
-        parts = line.split()
-        if len(parts) == 1:
-            # zero-length fingerprints (tiny l) leave only the rank
-            return cls(int(parts[0]), "", "")
+        parts = line.rstrip("\n").split(" ")
         if len(parts) != 3:
             raise ValueError(f"malformed record line: {line!r}")
         return cls(int(parts[0]), parts[1], parts[2])
@@ -222,38 +222,39 @@ class MatchResult:
     rank_a: int
     plan_b: SearchPlan
     rank_b: int
-    verified: bool
     pair: LegendrePairResult | None = None
 
+    @property
+    def verified(self) -> bool:
+        return self.pair is not None
 
-def _external_sort(
-    items: Iterable[tuple[str, int, int]], chunk_size: int
-) -> Iterator[tuple[str, int, int]]:
-    """Sort (key, plan_index, rank) tuples, spilling chunks to disk."""
-    chunk: list[tuple[str, int, int]] = []
+
+#: Tuples held in memory by one run of ``_external_sort`` before it spills.
+SORT_CHUNK_SIZE = 1_000_000
+
+
+def _external_sort(items: Iterable[tuple]) -> Iterator[tuple]:
+    """Sort ``(key, int, ...)`` tuples, spilling sorted chunks to disk."""
+    chunk: list[tuple] = []
     spill_files = []
     try:
         for item in items:
             chunk.append(item)
-            if len(chunk) >= chunk_size:
+            if len(chunk) >= SORT_CHUNK_SIZE:
                 chunk.sort()
                 f = tempfile.TemporaryFile("w+t")
-                for key, pi, rank in chunk:
-                    f.write(f"{key}\t{pi}\t{rank}\n")
+                f.writelines("\t".join(map(str, t)) + "\n" for t in chunk)
                 f.seek(0)
                 spill_files.append(f)
                 chunk = []
         chunk.sort()
-        if not spill_files:
-            yield from chunk
-            return
-        streams = [
-            ((line.rstrip("\n").split("\t")) for line in f) for f in spill_files
-        ]
-        parsed = [
-            ((key, int(pi), int(rank)) for key, pi, rank in s) for s in streams
-        ]
-        yield from heapq.merge(*parsed, iter(chunk))
+
+        def parsed(f) -> Iterator[tuple]:
+            for line in f:
+                key, *rest = line.rstrip("\n").split("\t")
+                yield (key, *map(int, rest))
+
+        yield from heapq.merge(*map(parsed, spill_files), iter(chunk))
     finally:
         for f in spill_files:
             f.close()
@@ -261,67 +262,46 @@ def _external_sort(
 
 def match_candidates(
     record_sets: Sequence[tuple[SearchPlan, Iterable[CandidateRecord]]],
-    sort_chunk_size: int = 1_000_000,
 ) -> list[MatchResult]:
     """Sort-merge join of records on fp1(x) = fp2(y), with exact re-verification.
 
     All record sets must come from plans of the same length (hence the same
-    fingerprint lag set).  Each unordered candidate pair is reported once;
-    hash collisions that fail the exact PAF check are kept with
-    ``verified=False`` so callers can report and drop them.
+    fingerprint lag set).  One sort orders both sides, fp1 tagged 0 before
+    fp2 tagged 1.  Each unordered candidate pair is reported once; hash
+    collisions that fail the exact PAF check are kept unverified.
     """
     lengths = {plan.length for plan, _ in record_sets}
     if len(lengths) > 1:
         raise ValueError(f"record sets mix lengths {sorted(lengths)}")
     plans = [plan for plan, _ in record_sets]
 
-    def tagged(side: int) -> Iterator[tuple[str, int, int]]:
+    def tagged() -> Iterator[tuple[str, int, int, int]]:
         for pi, (_, records) in enumerate(record_sets):
             for rec in records:
-                yield (rec.fp1 if side == 0 else rec.fp2, pi, rec.rank)
-
-    left = list(_external_sort(tagged(0), sort_chunk_size))
-    right = list(_external_sort(tagged(1), sort_chunk_size))
+                yield (rec.fp1, 0, pi, rec.rank)
+                yield (rec.fp2, 1, pi, rec.rank)
 
     results = []
     seen = set()
-    decoded: dict[tuple[int, int], BinarySequence] = {}
 
+    @cache
     def decode(pi: int, rank: int) -> BinarySequence:
-        key = (pi, rank)
-        if key not in decoded:
-            decoded[key] = plans[pi].decode(rank)
-        return decoded[key]
+        return plans[pi].decode(rank)
 
-    i = j = 0
-    while i < len(left) and j < len(right):
-        key_l, key_r = left[i][0], right[j][0]
-        if key_l < key_r:
-            i += 1
-        elif key_l > key_r:
-            j += 1
-        else:
-            i2 = i
-            while i2 < len(left) and left[i2][0] == key_l:
-                i2 += 1
-            j2 = j
-            while j2 < len(right) and right[j2][0] == key_l:
-                j2 += 1
-            for _, pi_a, rank_a in left[i:i2]:
-                for _, pi_b, rank_b in right[j:j2]:
-                    ka, kb = (pi_a, rank_a), (pi_b, rank_b)
-                    pair_key = (ka, kb) if ka <= kb else (kb, ka)
-                    if pair_key in seen:
-                        continue
-                    seen.add(pair_key)
-                    res = verify_pair(decode(pi_a, rank_a), decode(pi_b, rank_b))
-                    results.append(
-                        MatchResult(
-                            plans[pi_a], rank_a, plans[pi_b], rank_b,
-                            bool(res), res if res else None,
-                        )
-                    )
-            i, j = i2, j2
+    for _, group in groupby(_external_sort(tagged()), key=itemgetter(0)):
+        sides: tuple[list, list] = ([], [])
+        for _, side, pi, rank in group:
+            sides[side].append((pi, rank))
+        for ka in sides[0]:
+            for kb in sides[1]:
+                pair_key = (ka, kb) if ka <= kb else (kb, ka)
+                if pair_key in seen:
+                    continue
+                seen.add(pair_key)
+                res = verify_pair(decode(*ka), decode(*kb))
+                results.append(
+                    MatchResult(plans[ka[0]], ka[1], plans[kb[0]], kb[1], res if res else None)
+                )
     return results
 
 
@@ -344,8 +324,16 @@ def read_records(path: Path) -> list[CandidateRecord]:
         return [CandidateRecord.parse(line) for line in f if line.strip()]
 
 
-def _checkpoint_path(record_path: Path) -> Path:
-    return record_path.with_suffix(".ckpt")
+def _drop_records_after(path: Path, last: int) -> None:
+    """Truncate a record file to its complete lines of rank <= ``last``: a
+    buffer flushed after the last checkpoint, or a hard kill, leaves more."""
+    keep = 0
+    with open(path, "rb+") as f:
+        for line in f:
+            if not line.endswith(b"\n") or int(line.split(maxsplit=1)[0]) > last:
+                break
+            keep += len(line)
+        f.truncate(keep)
 
 
 def run_chunk(
@@ -357,14 +345,16 @@ def run_chunk(
 ) -> SearchStats:
     """Run one worker chunk, writing records and a resumable checkpoint.
 
-    If a checkpoint sidecar exists, the scan resumes after the last completed
-    rank, appending to the record file.
+    If a checkpoint sidecar exists, the record file is cut back to the
+    records it covers and the scan resumes after the last completed rank,
+    appending to the record file.
     """
-    ckpt = _checkpoint_path(record_path)
+    ckpt = record_path.with_suffix(".ckpt")
     start = lo
     mode = "w"
     if ckpt.exists():
         last = int(ckpt.read_text().strip())
+        _drop_records_after(record_path, last)
         start = max(lo, last + 1)
         mode = "a"
     if start >= hi:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from legendre_pairs.cli import main
+from legendre_pairs.pipeline import match_run
 
 import known_pairs as kp
 
@@ -135,7 +136,36 @@ class TestSearchMatchVerifyHadamard:
         assert len(grid) == 28 and set("".join(grid)) <= {"+", "-"}
 
 
+class TestSearchFailures:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # a "plus" sequence of length 13 marks 7 positions, not 6
+            (["--composition", "6x1"], "6x1"),
+            (["--composition", "7x1", "--range", "0:1000"], "outside space [0, 792)"),
+        ],
+        ids=["wrong-coverage", "range-outside-space"],
+    )
+    def test_bad_plan_exits_2_before_plan_is_written(self, capsys, tmp_path, args, message):
+        code, _, err = run(
+            capsys, "search", "--l", "13", "--subgroup", "1", "--polarity", "plus",
+            "--out", str(tmp_path / "out"), *args,
+        )
+        assert code == 2 and not (tmp_path / "out").exists()
+        assert message in err
+
+
 class TestMatchFailures:
+    def test_torn_record_exits_2(self, run_dir, capsys, tmp_path):
+        # a record cut inside its second fingerprint still has three fields
+        plan_dir = tmp_path / "torn"
+        plan_dir.mkdir()
+        (plan_dir / "plan.json").write_text((run_dir / "plus" / "plan.json").read_text())
+        lines = (run_dir / "plus" / "part-0000.rec").read_text().splitlines(keepends=True)
+        (plan_dir / "part-0000.rec").write_text("".join(lines[:-1]) + lines[-1][:-3])
+        code, _, err = run(capsys, "match", "--l", "13", str(plan_dir / "part-0000.rec"))
+        assert code == 2 and "malformed record" in err
+
     def test_misspelled_plan_polarity_exits_2(self, capsys, tmp_path):
         plan_dir = tmp_path / "plan"
         plan_dir.mkdir()
@@ -175,6 +205,22 @@ class TestPipelineCommand:
         )
         assert code == 0 and "verified pairs" in out
         assert (tmp_path / "run" / "pairs.json").exists()
+
+    def test_match_counts_equal_match_run(self, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main([
+            "pipeline", "--l", "11", "--subgroup", "1", "--out", str(run_dir), "--workers", "2",
+        ]) == 0
+        capsys.readouterr()
+        code, out, _ = run(
+            capsys, "match", "--l", "11", *map(str, run_dir.glob("*/part-*.rec")),
+        )
+        matches, pairs, false_candidates = match_run(run_dir)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"{len(matches)} fingerprint matches; {len(pairs)} verified pairs; "
+            f"{false_candidates} false candidates dropped"
+        )
 
 
 class TestOracleCommand:

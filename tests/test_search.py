@@ -1,5 +1,7 @@
 """Two-stage search, fingerprint records, matching and checkpointing."""
 
+import itertools
+
 import pytest
 
 from legendre_pairs import (
@@ -10,11 +12,12 @@ from legendre_pairs import (
     match_candidates,
     orbit_decomposition,
     run_search,
+    search,
     split_ranges,
 )
 from legendre_pairs.nt import representative_lags
 from legendre_pairs.oracle import brute_force_pairs
-from legendre_pairs.pipeline import build_plans, run_pipeline, third_psd_filter
+from legendre_pairs.pipeline import build_plans, load_record_sets, run_pipeline, third_psd_filter
 from legendre_pairs.search import (
     fingerprint_lags,
     read_plan,
@@ -164,14 +167,16 @@ class TestRunSearch:
 
 
 class TestExternalSort:
-    def test_spill_path_sorted(self):
+    def test_spill_path_sorted(self, monkeypatch):
+        monkeypatch.setattr(search, "SORT_CHUNK_SIZE", 64)
         items = [(f"{v:04d}", 0, v) for v in range(500, 0, -1)]
-        out = list(_external_sort(iter(items), chunk_size=64))
+        out = list(_external_sort(iter(items)))
         assert out == sorted(items)
 
-    def test_in_memory_path(self):
+    def test_in_memory_path(self, monkeypatch):
+        monkeypatch.setattr(search, "SORT_CHUNK_SIZE", 10)
         items = [("b", 0, 1), ("a", 1, 2)]
-        assert list(_external_sort(iter(items), chunk_size=10)) == sorted(items)
+        assert list(_external_sort(iter(items))) == sorted(items)
 
 
 class TestMatching:
@@ -191,6 +196,44 @@ class TestMatching:
         for m in matches:
             if not m.verified:
                 assert m.pair is None
+
+    def test_spilled_sort_gives_the_in_memory_matches(self, monkeypatch):
+        # l = 15, H = {1, 11}: 40 records, 100 pairs; a chunk of 7 tuples
+        # spills the join's sort to 11 files
+        record_sets = []
+        for plan in build_plans(15, Subgroup(15, (1, 11))):
+            records, _ = collect(plan)
+            record_sets.append((plan, records))
+        in_memory = match_candidates(record_sets)
+        monkeypatch.setattr(search, "SORT_CHUNK_SIZE", 7)
+        assert match_candidates(record_sets) == in_memory
+        assert len(in_memory) == 100 and all(m.verified for m in in_memory)
+
+
+class TestLoadRecordSets:
+    @pytest.fixture
+    def plan_dir(self, tmp_path):
+        plan = SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 40))
+        run_chunk(plan, 0, 40, tmp_path / "part-0000.rec")
+        write_plan(tmp_path, plan)
+        return tmp_path
+
+    def test_reads_every_record(self, plan_dir):
+        [(plan, records)] = load_record_sets([plan_dir / "part-0000.rec"])
+        assert plan == read_plan(plan_dir)
+        assert list(records) == read_records(plan_dir / "part-0000.rec")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1 00 0\n", "1 00 000\n", "1 0A 00\n", "1 0g 00\n", "40 00 00\n", "-1 00 00\n", "7\n"],
+        ids=["short", "long", "uppercase", "not-hex", "rank-past-range", "negative-rank", "rank-only"],
+    )
+    def test_malformed_record_rejected(self, plan_dir, line):
+        # l = 9 fingerprints have 3 lags minus lag 3: two hex digits
+        (plan_dir / "part-0001.rec").write_text(line)
+        [(_, records)] = load_record_sets(sorted(plan_dir.glob("part-*.rec")))
+        with pytest.raises(ValueError, match="malformed record"):
+            list(records)
 
 
 class TestPlanPersistence:
@@ -223,6 +266,33 @@ class TestPlanPersistence:
         assert int(ckpt.read_text()) == 299
         run_chunk(plan, 0, 700, part, checkpoint_every=50)
         assert read_records(part) == read_records(full)
+
+    @pytest.mark.parametrize("torn", [b"", b"2999 5"], ids=["flushed", "torn-line"])
+    def test_resume_after_fault_is_byte_identical(self, tmp_path, monkeypatch, torn):
+        # The search raises at the 250th survivor, between the checkpoints at
+        # ranks 999 and 1499; close() flushes the records after rank 999.  A
+        # hard kill can also leave a torn last line.  Resuming must drop both.
+        plan = build_plans(15, Subgroup(15, (1,)), polarities=(1,))[0]
+        hi = plan.space_size()
+        full = tmp_path / "full.rec"
+        run_chunk(plan, 0, hi, full, checkpoint_every=500)
+        part = tmp_path / "part.rec"
+        calls = itertools.count(1)
+
+        def failing_fingerprint(seq):
+            if next(calls) == 250:
+                raise RuntimeError("injected fault")
+            return fingerprint(seq)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "fingerprint", failing_fingerprint)
+            with pytest.raises(RuntimeError, match="injected fault"):
+                run_chunk(plan, 0, hi, part, checkpoint_every=500)
+        assert int(part.with_suffix(".ckpt").read_text()) == 999
+        with open(part, "ab") as f:
+            f.write(torn)
+        run_chunk(plan, 0, hi, part, checkpoint_every=500)
+        assert part.read_bytes() == full.read_bytes()
 
     def test_resume_noop_when_complete(self, tmp_path):
         plan = SearchPlan(13, (1,), ((1, 7),), 1)
