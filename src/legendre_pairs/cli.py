@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("verify", help="verify pairs from a pairs JSON file")
-    p.add_argument("--l", type=int)
     p.add_argument("--pairs", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_verify)

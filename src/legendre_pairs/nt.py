@@ -311,7 +311,8 @@ def third_psd_from_counts(length: int, residue_counts: Iterable[Sequence[int]]) 
     Each item gives the numbers of marked positions = 0, 1, 2 (mod 3) in one
     orbit, or in one group of orbits.  The marked positions hold one sign and
     every other position, 0 included, the opposite sign; the value is the same
-    for either sign.
+    for either sign.  Counts given as arrays, one entry per candidate, give
+    an array of values.
     """
     m = length // 3
     k0 = k1 = k2 = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .nt import OrbitDecomposition
 from .sequences import BinarySequence
@@ -177,10 +177,14 @@ def decode_selection(sel: OrbitSelection) -> BinarySequence:
     return decode_orbits(sel.decomp, sel.chosen, sel.polarity)
 
 
-def rank_to_selection(
-    rank: int, decomp: OrbitDecomposition, comp: Composition, polarity: int
-) -> OrbitSelection:
-    """Decode a mixed-radix rank into an orbit selection.
+def composition_orbits(decomp: OrbitDecomposition, comp: Composition) -> tuple[tuple[int, ...], ...]:
+    """The orbits a composition draws from: its size classes in order, each
+    in ascending minimal representative.  Selections are positions in it."""
+    return tuple(orb for size, _ in comp for orb in decomp.orbits_of_size(size))
+
+
+def _rank_to_positions(rank: int, decomp: OrbitDecomposition, comp: Composition) -> list[int]:
+    """Positions in ``composition_orbits`` of the orbits a rank selects.
 
     Size classes are taken in ascending size order with the first class most
     significant; within a class the rank addresses the lex-ordered subset of
@@ -195,12 +199,56 @@ def rank_to_selection(
         digits.append(rank % radix)
         rank //= radix
     digits.reverse()
-    chosen: list[int] = []
+    positions: list[int] = []
+    start = 0
     for (size, count), digit in zip(comp, digits):
-        class_orbits = decomp.orbits_of_size(size)
-        for idx in subset_unrank(digit, count, len(class_orbits)):
-            chosen.append(class_orbits[idx - 1][0])
-    return OrbitSelection(decomp, tuple(sorted(chosen)), polarity)
+        available = len(decomp.orbits_of_size(size))
+        positions.extend(start + idx - 1 for idx in subset_unrank(digit, count, available))
+        start += available
+    return positions
+
+
+def rank_to_selection(
+    rank: int, decomp: OrbitDecomposition, comp: Composition, polarity: int
+) -> OrbitSelection:
+    """Decode a mixed-radix rank into an orbit selection."""
+    orbits = composition_orbits(decomp, comp)
+    chosen = sorted(orbits[p][0] for p in _rank_to_positions(rank, decomp, comp))
+    return OrbitSelection(decomp, tuple(chosen), polarity)
+
+
+def lex_walk(
+    rank: int, count: int, decomp: OrbitDecomposition, comp: Composition
+) -> Iterator[tuple[int, ...]]:
+    """Selections of the ``count`` >= 1 ranks from ``rank`` on, in rank order,
+    as positions in ``composition_orbits`` (size class by size class).
+
+    Unranks the first rank once, then steps by lex successor: the last size
+    class advances, and a class that has run through its subsets starts over
+    and carries into the class before it.
+    """
+    chosen = _rank_to_positions(rank, decomp, comp)
+    classes = []  # (first slot, end slot, first position, end position)
+    slot = start = 0
+    for size, k in comp:
+        available = len(decomp.orbits_of_size(size))
+        classes.append((slot, slot + k, start, start + available))
+        slot += k
+        start += available
+    classes.reverse()
+    yield tuple(chosen)
+    for _ in range(count - 1):
+        for first, end, bottom, top in classes:
+            # the last slot of the class that can still move up, and its ceiling
+            i, ceiling = end - 1, top - 1
+            while i >= first and chosen[i] == ceiling:
+                i -= 1
+                ceiling -= 1
+            if i >= first:
+                chosen[i:end] = range(chosen[i] + 1, chosen[i] + 1 + end - i)
+                break
+            chosen[first:end] = range(bottom, bottom + end - first)
+        yield tuple(chosen)
 
 
 def selection_to_rank(sel: OrbitSelection, comp: Composition) -> int:

@@ -1,9 +1,13 @@
 """Streaming union-of-orbits search with the two-stage PSD filter, hex
 fingerprint records, and sort-merge candidate matching.
 
-Stage 1 rejects candidates in exact integer arithmetic from the lag-l/3 PSD
-value alone (when 3 | l); stage 2 runs the full floating-point PSD bound test
-with early termination, evaluating one lag per orbit-equivalence class of
+A candidate is a union of orbits, and for s != 0 (mod l) its DFT is
+2 * polarity * (sum over the chosen orbits O of the Gauss period
+eta_O(s) = sum_{x in O} w^(s x)), because all l-th roots of unity sum to 0.
+So the search sums precomputed per-orbit table rows over blocks of ranks and
+compares the sums with the bound.  Stage 1 rejects candidates in exact
+integer arithmetic from the lag-l/3 PSD value alone (when 3 | l); stage 2
+tests the floating-point PSD bound at one lag per orbit-equivalence class of
 lags.  Survivors are written as ``<rank> <fp1> <fp2>`` record lines; a true
 Legendre pair appears as two records whose fingerprints match crosswise.
 """
@@ -14,13 +18,16 @@ import heapq
 import json
 import math
 import os
+import pickle
 import tempfile
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import ranking
 from .nt import (
@@ -31,7 +38,7 @@ from .nt import (
     third_psd_from_counts,
 )
 from .ranking import Composition
-from .sequences import EPS, BinarySequence, psd
+from .sequences import EPS, BinarySequence, psd, roots_of_unity
 from .verify import LegendrePairResult, verify_pair
 
 
@@ -41,23 +48,23 @@ def fingerprint_lags(length: int) -> list[int]:
     return [k for k in range(1, (length - 1) // 2 + 1) if k != excluded]
 
 
-def _hex_digit(value: float) -> str:
-    # round to nearest, ties away from zero (values are never negative
-    # beyond float noise)
-    return format(int(math.floor(value + 0.5)) % 16, "x")
+_HEX_DIGITS = "0123456789abcdef"
+
+
+def _fingerprint_digits(length: int, psd_values: Sequence[float]) -> tuple[str, str]:
+    """Hex strings of the rounded PSD values and of their complements to
+    2l+2, mod 16.  Rounds half up (values are never negative beyond float
+    noise)."""
+    bound = 2 * length + 2
+    return (
+        "".join(_HEX_DIGITS[math.floor(v + 0.5) % 16] for v in psd_values),
+        "".join(_HEX_DIGITS[math.floor(bound - v + 0.5) % 16] for v in psd_values),
+    )
 
 
 def fingerprint(a: BinarySequence) -> tuple[str, str]:
-    """Hex strings of the rounded PSD values and their complements, mod 16."""
-    length = len(a)
-    bound = 2 * length + 2
-    digits1 = []
-    digits2 = []
-    for k in fingerprint_lags(length):
-        v = psd(a, k)
-        digits1.append(_hex_digit(v))
-        digits2.append(_hex_digit(bound - v))
-    return "".join(digits1), "".join(digits2)
+    """Reference fingerprint of one sequence, from ``sequences.psd``."""
+    return _fingerprint_digits(len(a), [psd(a, k) for k in fingerprint_lags(len(a))])
 
 
 @dataclass(frozen=True)
@@ -137,11 +144,79 @@ class SearchPlan:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     scanned: int = 0
     stage1_survivors: int = 0
     stage2_survivors: int = 0
+
+
+@dataclass(frozen=True)
+class GaussTables:
+    """Per-orbit tables of one (length, subgroup, composition), rows in the
+    order of ``ranking.composition_orbits``."""
+
+    #: Gauss periods eta_O(s) at the representative lags
+    representative: np.ndarray
+    #: Gauss periods eta_O(s) at the fingerprint lags
+    fingerprint: np.ndarray
+    #: numbers of orbit elements = 0, 1, 2 (mod 3)
+    residues: np.ndarray
+
+    def __post_init__(self) -> None:
+        # shared by every caller of the cache
+        for table in (self.representative, self.fingerprint, self.residues):
+            table.flags.writeable = False
+
+    @staticmethod
+    def sums(table: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        """Row sums of ``table`` over each row of orbit positions in ``chosen``,
+        one orbit column at a time."""
+        acc = np.zeros((len(chosen), table.shape[1]), dtype=table.dtype)
+        for column in chosen.T:
+            acc += table[column]
+        return acc
+
+    @classmethod
+    def psd(cls, table: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        """PSD = 4 |sum of the chosen orbits' Gauss periods|^2 at the table's lags."""
+        dft = cls.sums(table, chosen)
+        return 4 * (dft.real * dft.real + dft.imag * dft.imag)
+
+
+@lru_cache(maxsize=64)
+def gauss_tables(length: int, subgroup: tuple[int, ...], composition: Composition) -> GaussTables:
+    """The kernel's tables for one plan, built once and shared by its chunks."""
+    decomp = orbit_decomposition(length, Subgroup(length, subgroup))
+    orbits = ranking.composition_orbits(decomp, composition)
+    w = roots_of_unity(length)
+
+    def periods(lags: list[int]) -> np.ndarray:
+        table = np.empty((len(orbits), len(lags)), dtype=complex)
+        for row, orb in zip(table, orbits):
+            row[:] = [sum(w[s * x % length] for x in orb) for s in lags]
+        return table
+
+    residues = [[sum(1 for x in orb if x % 3 == j) for j in range(3)] for orb in orbits]
+    return GaussTables(
+        periods(representative_lags(decomp)),
+        periods(fingerprint_lags(length)),
+        np.array(residues, dtype=np.int64).reshape(len(orbits), 3),
+    )
+
+
+@lru_cache(maxsize=64)
+def _stage1_verdicts(length: int, bound: float, allowed: frozenset[int] | None) -> np.ndarray:
+    """Stage-1 verdict on every value the exact lag-l/3 PSD can take, which is
+    at most 6 (l/3)^2: within the bound, and allowed."""
+    m = length // 3
+    verdicts = np.array([v <= bound and (allowed is None or v in allowed) for v in range(6 * m * m + 1)])
+    verdicts.flags.writeable = False
+    return verdicts
+
+
+#: Ranks filtered together; a block also ends at every checkpoint.
+BLOCK_SIZE = 4096
 
 
 def run_search(
@@ -163,14 +238,12 @@ def run_search(
     allowed = plan.allowed_third_psd
     if allowed is not None and not mod3:
         raise ValueError("allowed_third_psd requires a length divisible by 3")
-
-    # numbers of elements = 0, 1, 2 (mod 3) in each orbit, by representative
-    residue_counts = {
-        rep: tuple(sum(1 for x in orb if x % 3 == j) for j in range(3))
-        for rep, orb in decomp.orbit_of_rep.items()
-    }
-    rep_lags = representative_lags(decomp)
-    bound = plan.psd_bound
+    target = ranking.coverage_target(plan.length, plan.polarity)
+    if ranking.coverage(plan.composition) != target:
+        raise ValueError(
+            f"composition {ranking.format_composition(plan.composition)} covers "
+            f"{ranking.coverage(plan.composition)} positions, need {target}"
+        )
 
     if allowed is not None and not allowed:
         # stage 1 annihilates the whole range without any decoding
@@ -179,24 +252,31 @@ def run_search(
             checkpoint(hi - 1)
         return stats
 
-    def stage1(sel: ranking.OrbitSelection) -> bool:
-        """Exact lag-l/3 test: the PSD value is within the bound and allowed."""
-        if not mod3:
-            return True
-        third = third_psd_from_counts(plan.length, (residue_counts[r] for r in sel.chosen))
-        return third <= bound and (allowed is None or third in allowed)
-
-    for rank in range(lo, hi):
-        stats.scanned += 1
-        sel = ranking.rank_to_selection(rank, decomp, plan.composition, plan.polarity)
-        if stage1(sel):
-            stats.stage1_survivors += 1
-            seq = ranking.decode_selection(sel)
-            if all(psd(seq, lag) <= bound for lag in rep_lags):
-                stats.stage2_survivors += 1
-                sink(CandidateRecord(rank, *fingerprint(seq)))
-        if checkpoint and (stats.scanned % checkpoint_every == 0 or rank == hi - 1):
-            checkpoint(rank)
+    tables = gauss_tables(plan.length, plan.subgroup, plan.composition)
+    bound = plan.psd_bound
+    verdicts = _stage1_verdicts(plan.length, bound, allowed) if mod3 else None
+    rank = lo
+    while rank < hi:
+        count = min(hi - rank, BLOCK_SIZE, checkpoint_every - stats.scanned % checkpoint_every)
+        chosen = np.array(list(ranking.lex_walk(rank, count, decomp, plan.composition)))
+        if mod3:
+            # stage 1: the verdict on the exact lag-l/3 value
+            third = third_psd_from_counts(plan.length, [tables.sums(tables.residues, chosen).T])
+            stage1 = np.flatnonzero(verdicts[third])
+        else:
+            stage1 = np.arange(count)
+        # stage 2: the PSD bound at the representative lags
+        passed = (tables.psd(tables.representative, chosen[stage1]) <= bound).all(axis=1)
+        stage2 = stage1[passed]
+        stats.stage1_survivors += len(stage1)
+        stats.stage2_survivors += len(stage2)
+        psd_values = tables.psd(tables.fingerprint, chosen[stage2]).tolist()
+        for offset, values in zip(stage2.tolist(), psd_values):
+            sink(CandidateRecord(rank + offset, *_fingerprint_digits(plan.length, values)))
+        rank += count
+        stats.scanned += count
+        if checkpoint and (stats.scanned % checkpoint_every == 0 or rank == hi):
+            checkpoint(rank - 1)
     return stats
 
 
@@ -231,10 +311,12 @@ class MatchResult:
 
 #: Tuples held in memory by one run of ``_external_sort`` before it spills.
 SORT_CHUNK_SIZE = 1_000_000
+#: Tuples per pickled block of a spill file.
+SPILL_BLOCK_SIZE = 4096
 
 
 def _external_sort(items: Iterable[tuple]) -> Iterator[tuple]:
-    """Sort ``(key, int, ...)`` tuples, spilling sorted chunks to disk."""
+    """Sort tuples, spilling sorted chunks to disk as pickled blocks."""
     chunk: list[tuple] = []
     spill_files = []
     try:
@@ -242,19 +324,22 @@ def _external_sort(items: Iterable[tuple]) -> Iterator[tuple]:
             chunk.append(item)
             if len(chunk) >= SORT_CHUNK_SIZE:
                 chunk.sort()
-                f = tempfile.TemporaryFile("w+t")
-                f.writelines("\t".join(map(str, t)) + "\n" for t in chunk)
+                f = tempfile.TemporaryFile()
+                for i in range(0, len(chunk), SPILL_BLOCK_SIZE):
+                    pickle.dump(chunk[i : i + SPILL_BLOCK_SIZE], f, pickle.HIGHEST_PROTOCOL)
                 f.seek(0)
                 spill_files.append(f)
                 chunk = []
         chunk.sort()
 
-        def parsed(f) -> Iterator[tuple]:
-            for line in f:
-                key, *rest = line.rstrip("\n").split("\t")
-                yield (key, *map(int, rest))
+        def unpickled(f) -> Iterator[tuple]:
+            while True:
+                try:
+                    yield from pickle.load(f)
+                except EOFError:
+                    return
 
-        yield from heapq.merge(*map(parsed, spill_files), iter(chunk))
+        yield from heapq.merge(*map(unpickled, spill_files), iter(chunk))
     finally:
         for f in spill_files:
             f.close()

@@ -196,6 +196,14 @@ class TestVerifyFailures:
         code, _, err = run(capsys, "verify", "--pairs", str(tmp_path / "nope.json"))
         assert code == 4 and "I/O error" in err
 
+    def test_length_flag_is_rejected(self, capsys, tmp_path):
+        # each pair record carries its own l; verify takes no --l
+        path = tmp_path / "pairs.json"
+        path.write_text("[]")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--l", "15", "--pairs", str(path)])
+        assert exc.value.code == 2 and "--l" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
     def test_small_end_to_end(self, capsys, tmp_path):

@@ -160,6 +160,12 @@ class TestRunSearch:
         rec_b, _ = collect(plan)
         assert rec_a == rec_b
 
+    def test_wrong_coverage_rejected(self):
+        # five size-1 orbits of l = 9 cover five positions; polarity -1 needs four
+        plan = SearchPlan(9, (1,), ((1, 5),), -1, rank_range=(0, 10))
+        with pytest.raises(ValueError, match="covers 5 positions, need 4"):
+            collect(plan)
+
     def test_invalid_range(self):
         plan = SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 10**9))
         with pytest.raises(ValueError):
@@ -279,13 +285,13 @@ class TestPlanPersistence:
         part = tmp_path / "part.rec"
         calls = itertools.count(1)
 
-        def failing_fingerprint(seq):
+        def failing_record(*args):
             if next(calls) == 250:
                 raise RuntimeError("injected fault")
-            return fingerprint(seq)
+            return CandidateRecord(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(search, "fingerprint", failing_fingerprint)
+            m.setattr(search, "CandidateRecord", failing_record)
             with pytest.raises(RuntimeError, match="injected fault"):
                 run_chunk(plan, 0, hi, part, checkpoint_every=500)
         assert int(part.with_suffix(".ckpt").read_text()) == 999
