@@ -66,9 +66,16 @@ def cmd_orbits(args) -> int:
         f"{decomp.size_counts[s]} of size {s}" for s in decomp.sizes
     )
     print(f"nonzero orbits: {counts}")
-    if decomp.residue_counts:
-        for (size, j), c in sorted(decomp.residue_counts.items()):
-            print(f"  size {size}, elements = {j} (mod 3): {c} orbits")
+    if args.l % 3 == 0:
+        # ascending size, then (3, 0, 0) before (0, 3, 0) before (0, 0, 3)
+        for (size, residues), c in sorted(
+            decomp.residue_counts.items(), key=lambda kv: (kv[0][0], kv[0][1][::-1])
+        ):
+            if size in residues:  # every element has the same residue
+                elements = f"{residues.index(size)} (mod 3)"
+            else:
+                elements = "0, 1, 2 (mod 3) {}, {}, {} times".format(*residues)
+            print(f"  size {size}, elements = {elements}: {c} orbits")
     return 0
 
 

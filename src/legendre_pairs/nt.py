@@ -11,6 +11,7 @@ search engine.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
@@ -93,6 +94,12 @@ def subgroups_of_order(modulus: int, k: int) -> list[Subgroup]:
     return groups
 
 
+def orbit_residues(orbit: Iterable[int]) -> tuple[int, int, int]:
+    """Numbers of the orbit's elements = 0, 1, 2 (mod 3)."""
+    residues = [x % 3 for x in orbit]
+    return residues.count(0), residues.count(1), residues.count(2)
+
+
 @dataclass(frozen=True)
 class OrbitDecomposition:
     """Orbits of a subgroup H acting on Z_l by multiplication.
@@ -110,8 +117,8 @@ class OrbitDecomposition:
     sizes: tuple[int, ...] = field(init=False)
     #: size -> number of nonzero orbits of that size
     size_counts: dict[int, int] = field(init=False)
-    #: (size, residue mod 3) -> orbit count; empty unless all h = 1 (mod 3)
-    residue_counts: dict[tuple[int, int], int] = field(init=False)
+    #: (size, numbers of elements = 0, 1, 2 (mod 3)) -> number of nonzero orbits
+    residue_counts: dict[tuple[int, tuple[int, int, int]], int] = field(init=False)
     #: every orbit but the orbit of 0
     nonzero_orbits: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     #: size -> nonzero orbits of that size, ascending minimal representative
@@ -128,13 +135,7 @@ class OrbitDecomposition:
         object.__setattr__(self, "orbit_of_rep", {orb[0]: orb for orb in nonzero})
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "size_counts", {size: len(by_size[size]) for size in sizes})
-        rc: dict[tuple[int, int], int] = {}
-        if self.modulus % 3 == 0 and all(h % 3 == 1 for h in self.subgroup):
-            for orb in self.nonzero_orbits:
-                residues = {x % 3 for x in orb}
-                assert len(residues) == 1
-                key = (len(orb), residues.pop())
-                rc[key] = rc.get(key, 0) + 1
+        rc = Counter((len(orb), orbit_residues(orb)) for orb in nonzero)
         object.__setattr__(self, "residue_counts", rc)
 
     @property
@@ -324,45 +325,33 @@ def third_psd_from_counts(length: int, residue_counts: Iterable[Sequence[int]]) 
 
 
 def orbit_psd_values(decomp: OrbitDecomposition, counts: Sequence[int]) -> list[int]:
-    """PSD values at lag l/3 compatible with choosing counts[i] orbits per size.
+    """PSD values at lag l/3 of the unions of counts[i] orbits of each size.
 
     ``counts`` is indexed by the ascending nonzero orbit sizes of the
-    decomposition.  Requires every subgroup element to be 1 (mod 3) so that
-    each orbit contributes to a single residue class.  The result is the same
-    whether the chosen orbits mark the +1 or the -1 positions.
+    decomposition.  The value depends only on the residue counts of the
+    chosen orbits, so within a size class only the number of chosen orbits of
+    each residue-count vector matters.  The result is the same whether the
+    chosen orbits mark the +1 or the -1 positions.
     """
     length = decomp.modulus
     if length % 3 != 0:
         raise ValueError("length not divisible by 3")
-    if not all(h % 3 == 1 for h in decomp.subgroup):
-        raise ValueError("all subgroup elements must be 1 (mod 3)")
     sizes = decomp.sizes
     if len(counts) != len(sizes):
         raise ValueError(f"expected {len(sizes)} counts for sizes {sizes}")
+    per_class = []
     for c, size in zip(counts, sizes):
         if not 0 <= c <= decomp.size_counts[size]:
             raise ValueError(f"count {c} out of range for size-{size} orbits")
-    n = {
-        (i, j): decomp.residue_counts.get((size, j), 0)
-        for i, size in enumerate(sizes)
-        for j in (0, 1, 2)
-    }
-    per_class = []
-    for i, c in enumerate(counts):
-        choices = [
-            (k1, k2)
-            for k1 in range(min(c, n[(i, 1)]) + 1)
-            for k2 in range(min(c, n[(i, 2)]) + 1)
-            if 0 <= c - k1 - k2 <= n[(i, 0)]
-        ]
-        per_class.append(choices)
-    values = set()
-    for combo in product(*per_class):
-        values.add(third_psd_from_counts(length, (
-            (s * (c - k1 - k2), s * k1, s * k2)
-            for s, c, (k1, k2) in zip(sizes, counts, combo)
-        )))
-    return sorted(values)
+        groups = [(vec, n) for (s, vec), n in decomp.residue_counts.items() if s == size]
+        sums = set()
+        # picks[i] orbits of vector i are chosen; the last vector takes the rest
+        for picks in product(*(range(min(c, n) + 1) for _, n in groups[:-1])):
+            picks += (c - sum(picks),)
+            if 0 <= picks[-1] <= groups[-1][1]:
+                sums.add(tuple(sum(k * vec[j] for k, (vec, _) in zip(picks, groups)) for j in range(3)))
+        per_class.append(sums)
+    return sorted({third_psd_from_counts(length, combo) for combo in product(*per_class)})
 
 
 def admissible_psd_pairs(

@@ -42,21 +42,18 @@ from .verify import LegendrePairResult
 def third_psd_filter(
     length: int, subgroup: Subgroup, counts: tuple[int, ...]
 ) -> frozenset[int] | None:
-    """Sound stage-1 filter set for one plan, or None when unavailable.
+    """Sound stage-1 filter set for one plan, or None when 3 does not divide l.
 
     A sequence of a true pair has its exact lag-l/3 PSD value both in the
     spectrum (as one component of some admissible pair) and among the values
     achievable with the plan's orbit counts, so the intersection never drops
-    a true pair.  The orbit restriction applies only when every subgroup
-    element is 1 (mod 3).
+    a true pair.
     """
     if length % 3 != 0:
         return None
     components = {v for e in spectrum_mod3(length) for v in e.psd_pair}
-    if all(h % 3 == 1 for h in subgroup):
-        decomp = orbit_decomposition(length, subgroup)
-        components &= set(orbit_psd_values(decomp, counts))
-    return frozenset(components)
+    achievable = orbit_psd_values(orbit_decomposition(length, subgroup), counts)
+    return frozenset(components.intersection(achievable))
 
 
 def build_plans(
@@ -104,6 +101,8 @@ def run_plan_workers(
 ) -> list[SearchStats]:
     """Run one plan's rank range split across workers, one record file each."""
     lo, hi = plan.resolved_range()
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     write_plan(directory, plan)
     ranges = split_ranges(hi - lo, workers)
     jobs = [

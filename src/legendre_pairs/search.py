@@ -19,6 +19,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
@@ -34,6 +35,7 @@ from .nt import (
     OrbitDecomposition,
     Subgroup,
     orbit_decomposition,
+    orbit_residues,
     representative_lags,
     third_psd_from_counts,
 )
@@ -67,6 +69,10 @@ def fingerprint(a: BinarySequence) -> tuple[str, str]:
     return _fingerprint_digits(len(a), [psd(a, k) for k in fingerprint_lags(len(a))])
 
 
+#: a canonical ASCII decimal: no sign, underscore or leading zero
+_RANK = re.compile("0|[1-9][0-9]*")
+
+
 @dataclass(frozen=True)
 class CandidateRecord:
     rank: int
@@ -79,7 +85,7 @@ class CandidateRecord:
     @classmethod
     def parse(cls, line: str) -> "CandidateRecord":
         parts = line.rstrip("\n").split(" ")
-        if len(parts) != 3:
+        if len(parts) != 3 or not _RANK.fullmatch(parts[0]):
             raise ValueError(f"malformed record line: {line!r}")
         return cls(int(parts[0]), parts[1], parts[2])
 
@@ -124,22 +130,21 @@ class SearchPlan:
             "subgroup": list(self.subgroup),
             "composition": ranking.format_composition(self.composition),
             "polarity": ranking.format_polarity(self.polarity),
-            "rank_range": list(self.rank_range) if self.rank_range else None,
-            "allowed_third_psd": sorted(self.allowed_third_psd) if self.allowed_third_psd else None,
+            "rank_range": None if self.rank_range is None else list(self.rank_range),
+            "allowed_third_psd": None if self.allowed_third_psd is None else sorted(self.allowed_third_psd),
             "eps": self.eps,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchPlan":
+        rank_range, allowed = data.get("rank_range"), data.get("allowed_third_psd")
         return cls(
             length=data["length"],
             subgroup=tuple(data["subgroup"]),
             composition=ranking.parse_composition(data["composition"]),
             polarity=ranking.parse_polarity(data["polarity"]),
-            rank_range=tuple(data["rank_range"]) if data.get("rank_range") else None,
-            allowed_third_psd=(
-                frozenset(data["allowed_third_psd"]) if data.get("allowed_third_psd") else None
-            ),
+            rank_range=None if rank_range is None else tuple(rank_range),
+            allowed_third_psd=None if allowed is None else frozenset(allowed),
             eps=data.get("eps", EPS),
         )
 
@@ -197,11 +202,10 @@ def gauss_tables(length: int, subgroup: tuple[int, ...], composition: Compositio
             row[:] = [sum(w[s * x % length] for x in orb) for s in lags]
         return table
 
-    residues = [[sum(1 for x in orb if x % 3 == j) for j in range(3)] for orb in orbits]
     return GaussTables(
         periods(representative_lags(decomp)),
         periods(fingerprint_lags(length)),
-        np.array(residues, dtype=np.int64).reshape(len(orbits), 3),
+        np.array([orbit_residues(orb) for orb in orbits], dtype=np.int64).reshape(len(orbits), 3),
     )
 
 
@@ -415,7 +419,7 @@ def _drop_records_after(path: Path, last: int) -> None:
     keep = 0
     with open(path, "rb+") as f:
         for line in f:
-            if not line.endswith(b"\n") or int(line.split(maxsplit=1)[0]) > last:
+            if not line.endswith(b"\n") or CandidateRecord.parse(line.decode()).rank > last:
                 break
             keep += len(line)
         f.truncate(keep)

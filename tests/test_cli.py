@@ -51,6 +51,12 @@ class TestOrbitsCommand:
         assert "nonzero orbits: 2 of size 1, 38 of size 3" in out
         assert "size 3, elements = 0 (mod 3): 12 orbits" in out
 
+    def test_15_orbits_that_mix_residues(self, capsys):
+        code, out, _ = run(capsys, "orbits", "15", "--subgroup", "1,2,4,8")
+        assert code == 0
+        assert "size 4, elements = 0 (mod 3): 1 orbits" in out
+        assert "size 4, elements = 0, 1, 2 (mod 3) 0, 2, 2 times: 2 orbits" in out
+
 
 class TestAlg2Command:
     def test_117(self, capsys):
@@ -61,6 +67,10 @@ class TestAlg2Command:
         assert code == 0
         assert "28, 64, 100, 172" in out
         assert "[(28, 208), (64, 172)]" in out
+
+    def test_subgroup_with_an_element_2_mod_3(self, capsys):
+        code, out, _ = run(capsys, "alg2", "21", "--subgroup", "1,8", "--counts", "5,3")
+        assert code == 0 and out.splitlines()[1] == "16"
 
 
 class TestDecodeCommand:
@@ -143,8 +153,10 @@ class TestSearchFailures:
             # a "plus" sequence of length 13 marks 7 positions, not 6
             (["--composition", "6x1"], "6x1"),
             (["--composition", "7x1", "--range", "0:1000"], "outside space [0, 792)"),
+            (["--composition", "7x1", "--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
+            (["--composition", "7x1", "--checkpoint-every", "-3"], "checkpoint_every must be >= 1"),
         ],
-        ids=["wrong-coverage", "range-outside-space"],
+        ids=["wrong-coverage", "range-outside-space", "checkpoint-every-0", "checkpoint-every-negative"],
     )
     def test_bad_plan_exits_2_before_plan_is_written(self, capsys, tmp_path, args, message):
         code, _, err = run(

@@ -1,5 +1,7 @@
 """Unit groups, orbits, three-squares solver and the exact PSD spectrum."""
 
+from collections import defaultdict
+
 import pytest
 
 from legendre_pairs import (
@@ -8,12 +10,20 @@ from legendre_pairs import (
     is_multiplier,
     orbit_decomposition,
     orbit_psd_values,
+    psd_exact_third,
     signed_assignments,
     spectrum_mod3,
     subgroups_of_order,
     three_squares_all_odd,
 )
 from legendre_pairs.nt import element_order, spectrum_candidates, unit_group
+from legendre_pairs.ranking import (
+    composition_counts,
+    compositions_for,
+    decode_orbits,
+    rank_to_sequence,
+    space_size,
+)
 
 import known_pairs as kp
 
@@ -91,14 +101,15 @@ class TestOrbitDecomposition:
 
     def test_residue_counts_117(self):
         decomp = orbit_decomposition(117, Subgroup(117, kp.SUBGROUP_117))
-        assert decomp.residue_counts[(3, 0)] == 12
-        assert decomp.residue_counts[(3, 1)] == 13
-        assert decomp.residue_counts[(3, 2)] == 13
-        assert decomp.residue_counts[(1, 0)] == 2
+        assert decomp.residue_counts[(3, (3, 0, 0))] == 12
+        assert decomp.residue_counts[(3, (0, 3, 0))] == 13
+        assert decomp.residue_counts[(3, (0, 0, 3))] == 13
+        assert decomp.residue_counts[(1, (1, 0, 0))] == 2
 
-    def test_residue_counts_empty_without_mod3_condition(self):
+    def test_residue_counts_of_orbits_that_mix_residues(self):
+        # 2 = 2 (mod 3): {1, 2, 4, 8}, {5, 10} and {7, 11, 13, 14} mix 1 and 2
         decomp = orbit_decomposition(15, Subgroup(15, (1, 2, 4, 8)))
-        assert decomp.residue_counts == {}
+        assert decomp.residue_counts == {(2, (0, 1, 1)): 1, (4, (0, 2, 2)): 2, (4, (4, 0, 0)): 1}
 
     def test_orbits_partition(self):
         decomp = orbit_decomposition(147, Subgroup(147, kp.SUBGROUP_147))
@@ -212,6 +223,28 @@ class TestSpectrum:
                 assert sum(e.psd_pair) == 2 * l + 2
 
 
+def exact_third_values(decomp) -> dict[tuple[int, ...], set[int]]:
+    """The exact lag-l/3 PSD value of every union of nonzero orbits, keyed by
+    its number of orbits of each size; every rank of a composition is one such
+    union.  Unions grow one orbit at a time.  Those with equal orbit counts and
+    equal numbers of positions = 0, 1, 2 (mod 3) have one value, so each is
+    kept once, with the representatives of one union that has them."""
+    sizes = decomp.sizes
+    unions = {((0,) * len(sizes), (0, 0, 0)): ()}
+    for orb in decomp.nonzero_orbits:
+        i = sizes.index(len(orb))
+        for (counts, residues), chosen in list(unions.items()):
+            key = (
+                counts[:i] + (counts[i] + 1,) + counts[i + 1 :],
+                tuple(n + sum(1 for x in orb if x % 3 == j) for j, n in enumerate(residues)),
+            )
+            unions.setdefault(key, chosen + (orb[0],))
+    values = defaultdict(set)
+    for (counts, _), chosen in unions.items():
+        values[counts].add(psd_exact_third(decode_orbits(decomp, chosen, 1)))
+    return values
+
+
 class TestOrbitPsdValues:
     def test_117_case1_values(self):
         decomp = orbit_decomposition(117, Subgroup(117, kp.SUBGROUP_117))
@@ -230,10 +263,25 @@ class TestOrbitPsdValues:
         values = orbit_psd_values(decomp, (2, 21))
         assert values[:8] == [4, 76, 112, 148, 256, 292, 364, 400]
 
-    def test_requires_mod3_subgroup(self):
-        decomp = orbit_decomposition(15, Subgroup(15, (1, 2, 4, 8)))
-        with pytest.raises(ValueError):
-            orbit_psd_values(decomp, (1,))
+    def test_exact_for_every_subgroup(self):
+        # 13 of these 24 subgroups have an element = 2 (mod 3)
+        for length in (9, 15, 21, 27):
+            for order in (1, 2, 3, 4, 6):
+                for sub in subgroups_of_order(length, order):
+                    decomp = orbit_decomposition(length, sub)
+                    exact = exact_third_values(decomp)
+                    for polarity in (1, -1):
+                        for comp in compositions_for(decomp, polarity):
+                            counts = composition_counts(decomp, comp)
+                            assert orbit_psd_values(decomp, counts) == sorted(exact[counts])
+                            size = space_size(decomp, comp)
+                            if size <= 20_000:
+                                # the reference itself, rank by rank, on 45 of the 49
+                                # plans (l = 21, 27 with H = {1} have 20.6M ranks)
+                                assert exact[counts] == {
+                                    psd_exact_third(rank_to_sequence(r, decomp, comp, polarity))
+                                    for r in range(size)
+                                }
 
     def test_counts_validated(self):
         decomp = orbit_decomposition(117, Subgroup(117, kp.SUBGROUP_117))

@@ -154,6 +154,11 @@ class TestRunSearch:
         }
         assert pairs_a == pairs_b
 
+    def test_filter_for_orbits_that_mix_residues(self):
+        # 8 = 2 (mod 3): the lag-7 values no union reaches leave the filter
+        plans = build_plans(21, Subgroup(21, (1, 8)))
+        assert sorted(map(sorted, (p.allowed_third_psd for p in plans))) == [[]] * 5 + [[16]] * 2
+
     def test_determinism(self):
         plan = SearchPlan(13, (1,), ((1, 7),), 1, rank_range=(0, 400))
         rec_a, _ = collect(plan)
@@ -231,12 +236,18 @@ class TestLoadRecordSets:
 
     @pytest.mark.parametrize(
         "line",
-        ["1 00 0\n", "1 00 000\n", "1 0A 00\n", "1 0g 00\n", "40 00 00\n", "-1 00 00\n", "7\n"],
-        ids=["short", "long", "uppercase", "not-hex", "rank-past-range", "negative-rank", "rank-only"],
+        [
+            "1 000 00\n", "1 000 0000\n", "1 00A 000\n", "1 00g 000\n", "40 000 000\n", "-1 000 000\n",
+            "7\n", "1_0 000 000\n", "+16 000 000\n", "010 000 000\n", "\u0661\u0660 000 000\n",
+        ],
+        ids=[
+            "short", "long", "uppercase", "not-hex", "rank-past-range", "negative-rank", "rank-only",
+            "rank-underscore", "rank-plus-sign", "rank-leading-zero", "rank-non-ascii-digits",
+        ],
     )
     def test_malformed_record_rejected(self, plan_dir, line):
-        # l = 9 fingerprints have 3 lags minus lag 3: two hex digits
-        (plan_dir / "part-0001.rec").write_text(line)
+        # l = 9 fingerprints have 4 lags minus lag 3: three hex digits
+        (plan_dir / "part-0001.rec").write_text(line, encoding="utf-8")
         [(_, records)] = load_record_sets(sorted(plan_dir.glob("part-*.rec")))
         with pytest.raises(ValueError, match="malformed record"):
             list(records)
@@ -258,6 +269,12 @@ class TestPlanPersistence:
             rank_range=(5, 100),
             allowed_third_psd=frozenset({28, 64}),
         )
+        write_plan(tmp_path, plan)
+        assert read_plan(tmp_path) == plan
+
+    def test_empty_filter_round_trip(self, tmp_path):
+        # stage 1 passes nothing, which is not the same as no filter
+        plan = SearchPlan(9, (1,), ((1, 5),), 1, allowed_third_psd=frozenset())
         write_plan(tmp_path, plan)
         assert read_plan(tmp_path) == plan
 
