@@ -12,6 +12,7 @@ import json
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -156,31 +157,40 @@ def match_run(run_dir: Path) -> tuple[list[MatchResult], list[LegendrePairResult
     return matches, pairs, false_candidates
 
 
-def pair_record(match: MatchResult) -> dict:
-    """JSON-serializable record of one verified pair."""
-    assert match.pair is not None
-    plan_a, plan_b = match.plan_a, match.plan_b
-    decomp_a = plan_a.decomposition()
-    decomp_b = plan_b.decomposition()
-    sel_a = ranking.rank_to_selection(match.rank_a, decomp_a, plan_a.composition, plan_a.polarity)
-    sel_b = ranking.rank_to_selection(match.rank_b, decomp_b, plan_b.composition, plan_b.polarity)
-    return {
-        "l": plan_a.length,
-        "subgroup": list(plan_a.subgroup),
-        "I_A": sorted(sel_a.chosen),
-        "I_B": sorted(sel_b.chosen),
-        "rank_a": match.rank_a,
-        "rank_b": match.rank_b,
-        "psd_third": list(match.pair.psd_third) if match.pair.psd_third else None,
-        "composition_a": ranking.format_composition(plan_a.composition),
-        "composition_b": ranking.format_composition(plan_b.composition),
-        "polarity_a": ranking.format_polarity(plan_a.polarity),
-        "polarity_b": ranking.format_polarity(plan_b.polarity),
-    }
-
-
 def write_pairs(path: Path, matches: list[MatchResult]) -> None:
-    records = [pair_record(m) for m in matches if m.verified]
+    """Write the verified pairs as JSON records.  Each (plan, rank) side is
+    unranked and formatted once per call, however many pairs share it."""
+
+    @cache
+    def side(plan: SearchPlan, rank: int) -> tuple[list[int], str, str]:
+        sel = ranking.rank_to_selection(rank, plan.decomposition(), plan.composition, plan.polarity)
+        return (
+            sorted(sel.chosen),
+            ranking.format_composition(plan.composition),
+            ranking.format_polarity(plan.polarity),
+        )
+
+    records = []
+    for m in matches:
+        if not m.verified:
+            continue
+        i_a, composition_a, polarity_a = side(m.plan_a, m.rank_a)
+        i_b, composition_b, polarity_b = side(m.plan_b, m.rank_b)
+        records.append(
+            {
+                "l": m.plan_a.length,
+                "subgroup": list(m.plan_a.subgroup),
+                "I_A": i_a,
+                "I_B": i_b,
+                "rank_a": m.rank_a,
+                "rank_b": m.rank_b,
+                "psd_third": list(m.pair.psd_third) if m.pair.psd_third else None,
+                "composition_a": composition_a,
+                "composition_b": composition_b,
+                "polarity_a": polarity_a,
+                "polarity_b": polarity_b,
+            }
+        )
     path.write_text(json.dumps(records, indent=2) + "\n")
 
 

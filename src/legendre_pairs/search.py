@@ -235,6 +235,8 @@ def run_search(
     ``checkpoint`` (if given) receives the last completed rank at regular
     intervals and once at the end.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     decomp = plan.decomposition()
     lo, hi = plan.resolved_range()
     stats = SearchStats()

@@ -4,7 +4,9 @@ All formula-facing interfaces are 1-indexed, i.e. a sequence ``[a1, ..., al]``
 is passed as a Python list whose element 0 is ``a1``.  PAF and residue-sum
 computations are exact integer arithmetic; DFT/PSD use double precision with
 a per-length table of roots of unity so that repeated evaluations of the same
-lag are bit-identical.
+lag are bit-identical.  ``paf`` and ``psd`` are the per-lag references; a
+``BinarySequence`` computes its PAF and PSD vectors and its canonical form
+once, with numpy, for verification.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Tolerance for all float-vs-exact comparisons.  Override with env LP_EPS.
 EPS = float(os.environ.get("LP_EPS", "1e-6"))
@@ -89,11 +94,47 @@ class BinarySequence:
     def negated(self) -> "BinarySequence":
         return BinarySequence(tuple(-e for e in self.entries))
 
+    # Verification invariants, computed once per object: the join decodes
+    # each (plan, rank) once, so all pairs sharing a sequence share these.
+
+    @cached_property
+    def paf_half(self) -> np.ndarray:
+        """Exact int64 PAF at lags 1..(l-1)/2."""
+        x = np.array(self.entries, dtype=np.int64)
+        return shift_window(x)[1 : len(x) // 2 + 1] @ x
+
+    @cached_property
+    def psd_half(self) -> np.ndarray:
+        """PSD at lags 1..(l-1)/2, from the roots of unity at lag * i mod l."""
+        l = len(self.entries)
+        w = np.array(roots_of_unity(l))
+        v = w[np.outer(np.arange(1, l // 2 + 1), np.arange(l)) % l] @ np.array(self.entries)
+        return v.real * v.real + v.imag * v.imag
+
+    @cached_property
+    def psd_third(self) -> int:
+        """Exact PSD at lag l/3; requires 3 | l."""
+        return psd_exact_third(self.entries)
+
+    @cached_property
+    def canonical(self) -> str:
+        """Lexicographically smallest +/- string over all shift/revert images."""
+        l = len(self.entries)
+        forward = self.pm_string() * 2
+        backward = forward[::-1]
+        return min(min(forward[i : i + l], backward[i : i + l]) for i in range(l))
+
 
 @lru_cache(maxsize=None)
 def roots_of_unity(length: int) -> tuple[complex, ...]:
     """The l-th roots of unity, w^k for k = 0..l-1, computed once per length."""
     return tuple(cmath.exp(2j * math.pi * k / length) for k in range(length))
+
+
+def shift_window(x: np.ndarray) -> np.ndarray:
+    """Zero-copy view of the doubled sequence whose row s, for 0 <= s <= l,
+    is ``x`` cyclically advanced by s: row s, column i holds x[(i + s) mod l]."""
+    return sliding_window_view(np.concatenate([x, x]), len(x))
 
 
 def paf(a: IntSequence, s: int) -> int:

@@ -53,12 +53,12 @@ class LegendrePairResult:
 
 def canonical_string(a: BinarySequence) -> str:
     """Lexicographically smallest +/- string over all shift/revert images."""
-    return min(img.pm_string() for img in sq.symmetry_images(a))
+    return a.canonical
 
 
 def pair_class_id(a: BinarySequence, b: BinarySequence) -> tuple[str, str]:
     """Canonical id of the pair's class under per-side shift/revert and swap."""
-    ca, cb = canonical_string(a), canonical_string(b)
+    ca, cb = a.canonical, b.canonical
     return (ca, cb) if ca <= cb else (cb, ca)
 
 
@@ -69,28 +69,25 @@ def verify_pair(
 
     Requires PAF(a,s) + PAF(b,s) = -2 for every lag 1..(l-1)/2 in integer
     arithmetic; on success also asserts the complementary PSD identity at
-    every such lag within eps.
+    every such lag within eps.  A failure names the first failing lag.  The
+    PAF and PSD vectors, lag-l/3 values and canonical forms are computed once
+    per sequence object (``BinarySequence.paf_half``, ``psd_half``,
+    ``psd_third``, ``canonical``).
     """
     if len(a) != len(b):
         return PairFailure(f"length mismatch: {len(a)} vs {len(b)}")
     length = len(a)
     if not a.normalized or not b.normalized:
         return PairFailure("sequences must sum to +1")
-    half = (length - 1) // 2
-    sums = []
-    for s in range(1, half + 1):
-        total = sq.paf(a, s) + sq.paf(b, s)
-        if total != -2:
-            return PairFailure(f"PAF sum {total} != -2", lag=s)
-        sums.append(total)
-    bound = 2 * length + 2
-    for s in range(1, half + 1):
-        if abs(sq.psd(a, s) + sq.psd(b, s) - bound) > eps:
-            return PairFailure("PSD complement identity violated", lag=s)
-    psd_third = None
-    if length % 3 == 0:
-        psd_third = (sq.psd_exact_third(a), sq.psd_exact_third(b))
-    return LegendrePairResult(a, b, tuple(sums), psd_third, pair_class_id(a, b))
+    sums = a.paf_half + b.paf_half
+    (off,) = (sums != -2).nonzero()
+    if off.size:
+        return PairFailure(f"PAF sum {sums[off[0]]} != -2", lag=int(off[0]) + 1)
+    (off,) = (np.abs(a.psd_half + b.psd_half - (2 * length + 2)) > eps).nonzero()
+    if off.size:
+        return PairFailure("PSD complement identity violated", lag=int(off[0]) + 1)
+    psd_third = (a.psd_third, b.psd_third) if length % 3 == 0 else None
+    return LegendrePairResult(a, b, tuple(sums.tolist()), psd_third, pair_class_id(a, b))
 
 
 def check_spectrum_membership(result: LegendrePairResult) -> bool:
@@ -164,9 +161,9 @@ def compression_certificate(
 
 
 def _circulant(entries: Sequence[int]) -> np.ndarray:
+    """Row k is the sequence rolled forward by k, a view of the shift window."""
     l = len(entries)
-    row = np.array(entries, dtype=np.int64)
-    return np.stack([np.roll(row, k) for k in range(l)])
+    return sq.shift_window(np.array(entries, dtype=np.int64))[l:0:-1]
 
 
 def hadamard_from_pair(
@@ -251,7 +248,7 @@ def symmetry_reduce(
         for p in members:
             # orient each pair so its left side matches the class's first
             # canonical string (arbitrary but consistent within the class)
-            if canonical_string(p.a) == ca:
+            if p.a.canonical == ca:
                 l_seq, r_seq = p.a, p.b
             else:
                 l_seq, r_seq = p.b, p.a

@@ -1,8 +1,11 @@
-"""Shared decoding helpers for the test suite."""
+"""Shared decoding helpers and per-lag reference verifiers for the test suite."""
 
 from __future__ import annotations
 
 from legendre_pairs import BinarySequence, Subgroup, orbit_decomposition
+from legendre_pairs import sequences as sq
+from legendre_pairs.sequences import EPS
+from legendre_pairs.verify import LegendrePairResult, PairFailure
 from legendre_pairs.ranking import (
     decode_selection,
     indices_to_selection,
@@ -50,3 +53,39 @@ def rank_indices(
     decomp = decomp_for(length, subgroup)
     comp = parse_composition(composition)
     return rank_to_selection(rank, decomp, comp, polarity_of(length, composition)).chosen
+
+
+def reference_canonical_string(a: BinarySequence) -> str:
+    """Smallest +/- string over the 2l shift/revert images, image by image."""
+    return min(img.pm_string() for img in sq.symmetry_images(a))
+
+
+def reference_pair_class_id(a: BinarySequence, b: BinarySequence) -> tuple[str, str]:
+    ca, cb = reference_canonical_string(a), reference_canonical_string(b)
+    return (ca, cb) if ca <= cb else (cb, ca)
+
+
+def reference_verify_pair(
+    a: BinarySequence, b: BinarySequence, eps: float = EPS
+) -> LegendrePairResult | PairFailure:
+    """``verify_pair`` lag by lag from ``sequences.paf`` and ``sequences.psd``."""
+    if len(a) != len(b):
+        return PairFailure(f"length mismatch: {len(a)} vs {len(b)}")
+    length = len(a)
+    if not a.normalized or not b.normalized:
+        return PairFailure("sequences must sum to +1")
+    half = (length - 1) // 2
+    sums = []
+    for s in range(1, half + 1):
+        total = sq.paf(a, s) + sq.paf(b, s)
+        if total != -2:
+            return PairFailure(f"PAF sum {total} != -2", lag=s)
+        sums.append(total)
+    bound = 2 * length + 2
+    for s in range(1, half + 1):
+        if abs(sq.psd(a, s) + sq.psd(b, s) - bound) > eps:
+            return PairFailure("PSD complement identity violated", lag=s)
+    psd_third = None
+    if length % 3 == 0:
+        psd_third = (sq.psd_exact_third(a), sq.psd_exact_third(b))
+    return LegendrePairResult(a, b, tuple(sums), psd_third, reference_pair_class_id(a, b))

@@ -1,5 +1,6 @@
 """Two-stage search, fingerprint records, matching and checkpointing."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from legendre_pairs import (
     fingerprint,
     match_candidates,
     orbit_decomposition,
+    ranking,
     run_search,
     search,
     split_ranges,
@@ -28,7 +30,7 @@ from legendre_pairs.search import (
 )
 
 import known_pairs as kp
-from helpers import decode_indices
+from helpers import decode_indices, decomp_for
 
 
 def collect(plan: SearchPlan):
@@ -170,6 +172,16 @@ class TestRunSearch:
         plan = SearchPlan(9, (1,), ((1, 5),), -1, rank_range=(0, 10))
         with pytest.raises(ValueError, match="covers 5 positions, need 4"):
             collect(plan)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_checkpoint_every_below_1_rejected(self, tmp_path, every):
+        # 0 used to divide by zero, -3 to ask the walk for rank -3
+        plan = build_plans(13, Subgroup(13, (1,)))[0]
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            run_search(plan, lambda rec: None, None, every)
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            run_chunk(plan, 0, 50, tmp_path / "part-0000.rec", every)
+        assert not (tmp_path / "part-0000.ckpt").exists()
 
     def test_invalid_range(self):
         plan = SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 10**9))
@@ -345,6 +357,65 @@ class TestPipeline:
         pairs1 = {frozenset((p.a.entries, p.b.entries)) for p in r1.pairs}
         pairs2 = {frozenset((p.a.entries, p.b.entries)) for p in r2.pairs}
         assert pairs1 == pairs2
+
+
+#: sha256 of pairs.json from the full l = 15, H = {1} sweep
+PAIRS_JSON_15_SHA256 = "5b02f67731390ccdbb616d639783d112bd88f0a96c8638c16438d02c462fb6b9"
+
+
+def test_full_sweep_15_pairs_json_is_golden(tmp_path):
+    run_pipeline(tmp_path, build_plans(15, Subgroup(15, (1,))))
+    digest = hashlib.sha256((tmp_path / "pairs.json").read_bytes()).hexdigest()
+    assert digest == PAIRS_JSON_15_SHA256
+
+
+def _published_rank_pairs(length: int) -> tuple[tuple[int, ...], str, int, list[tuple[int, int]]]:
+    """Subgroup, composition, polarity and rank pairs of the published pairs."""
+    if length == 117:
+        return kp.SUBGROUP_117, kp.COMPOSITION_117, 1, kp.RANKS_117
+    if length == 129:
+        decomp = decomp_for(129, kp.SUBGROUP_129)
+        comp = ranking.parse_composition(kp.COMPOSITION_129)
+        ranks = [
+            tuple(
+                ranking.selection_to_rank(ranking.indices_to_selection(decomp, sorted(s), 1), comp)
+                for s in pair
+            )
+            for pair in kp.PAIRS_129
+        ]
+        return kp.SUBGROUP_129, kp.COMPOSITION_129, 1, ranks
+    if length == 133:
+        return kp.SUBGROUP_133, kp.COMPOSITION_133, -1, kp.RANKS_133
+    return kp.SUBGROUP_147, kp.COMPOSITION_147, 1, [kp.PAIR_147_RANKS, *kp.RANKS_147_LOW_HIGH]
+
+
+@pytest.mark.parametrize("length,expected", [(117, 10), (129, 2), (133, 5), (147, 4)])
+def test_published_pairs_found_through_the_search(tmp_path, length, expected):
+    # run_chunk over 100 ranks either side of each published side, stage 1
+    # on wherever 3 | l, then the loader and the join: every published pair
+    # is found and verified, and no candidate is false
+    subgroup, composition, polarity, rank_pairs = _published_rank_pairs(length)
+    (plan,) = build_plans(
+        length, Subgroup(length, subgroup), [ranking.parse_composition(composition)], (polarity,)
+    )
+    assert (plan.allowed_third_psd is not None) == (length % 3 == 0)
+    assert len(rank_pairs) == expected
+    space = plan.space_size()
+    windows: list[list[int]] = []
+    for rank in sorted(r for pair in rank_pairs for r in pair):
+        lo, hi = max(0, rank - 100), min(space, rank + 101)
+        if windows and lo <= windows[-1][1]:
+            windows[-1][1] = max(windows[-1][1], hi)
+        else:
+            windows.append([lo, hi])
+    plan_dir = tmp_path / "plan-000"
+    write_plan(plan_dir, plan)
+    for i, (lo, hi) in enumerate(windows):
+        run_chunk(plan, lo, hi, plan_dir / f"part-{i:04d}.rec")
+    matches = match_candidates(load_record_sets(plan_dir.glob("part-*.rec")))
+    assert all(m.verified for m in matches)
+    found = {frozenset((m.rank_a, m.rank_b)) for m in matches}
+    assert {frozenset(pair) for pair in rank_pairs} <= found
 
 
 class TestOracle:

@@ -1,7 +1,11 @@
 """Pair verification, compression certificates, Hadamard and symmetry classes."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legendre_pairs import (
     BinarySequence,
@@ -10,7 +14,10 @@ from legendre_pairs import (
     symmetry_reduce,
     verify_pair,
 )
-from legendre_pairs.sequences import apply_symmetry
+from legendre_pairs import sequences as sq
+from legendre_pairs import verify
+from legendre_pairs.oracle import brute_force_pairs
+from legendre_pairs.sequences import EPS, apply_symmetry
 from legendre_pairs.verify import (
     PremiseNotMet,
     VerificationError,
@@ -21,7 +28,13 @@ from legendre_pairs.verify import (
 )
 
 import known_pairs as kp
-from helpers import decode_indices, decode_rank
+from helpers import (
+    decode_indices,
+    decode_rank,
+    reference_canonical_string,
+    reference_pair_class_id,
+    reference_verify_pair,
+)
 
 
 def pair_117(i: int):
@@ -70,6 +83,121 @@ class TestVerifyPair:
     def test_spectrum_membership(self):
         a, b = pair_117(0)
         assert check_spectrum_membership(verify_pair(a, b))
+
+
+#: primes p = 3 (mod 4) below 62: the quadratic-residue sequence q with
+#: q_0 = +1 has PAF -1 at every nonzero lag, so (q, q) is a Legendre pair
+QR_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59)
+#: lengths small enough for the brute-force oracle's every pair
+ORACLE_LENGTHS = (3, 5, 7, 9, 11, 13)
+
+
+def qr_sequence(p: int) -> BinarySequence:
+    squares = {x * x % p for x in range(p)}
+    return BinarySequence(tuple(1 if (k + 1) % p in squares else -1 for k in range(p)))
+
+
+@lru_cache(maxsize=None)
+def oracle_pairs(length: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    pairs = []
+    for pair in sorted(brute_force_pairs(length), key=sorted):
+        a, b = sorted(pair) if len(pair) == 2 else (next(iter(pair)),) * 2
+        pairs.append((a, b))
+    return pairs
+
+
+@st.composite
+def sequence_pairs(draw):
+    """Random +/-1 pairs, normalized pairs, true pairs (oracle pairs and
+    quadratic-residue pairs under random shift/revert images, a swap), true
+    pairs with one +1 and one -1 of a side exchanged, and pairs of different
+    lengths; eps = -1 makes even a true pair fail the PSD identity at lag 1."""
+    kind = draw(st.sampled_from(["random", "normalized", "true", "near-true", "lengths"]))
+    eps = draw(st.sampled_from([EPS, -1.0]))
+    if kind in ("true", "near-true"):
+        length = draw(st.sampled_from(sorted(set(ORACLE_LENGTHS + QR_PRIMES))))
+        if length in ORACLE_LENGTHS:
+            a, b = map(BinarySequence, draw(st.sampled_from(oracle_pairs(length))))
+        else:
+            a = b = qr_sequence(length)
+        images = st.tuples(st.integers(0, length - 1), st.booleans())
+        a = apply_symmetry(a, *draw(images))
+        b = apply_symmetry(b, *draw(images))
+        if draw(st.booleans()):
+            a, b = b, a
+        if kind == "near-true":
+            entries = list(b.entries)
+            i = draw(st.sampled_from([k for k, e in enumerate(entries) if e == 1]))
+            j = draw(st.sampled_from([k for k, e in enumerate(entries) if e == -1]))
+            entries[i], entries[j] = -1, 1
+            b = BinarySequence(tuple(entries))
+        return a, b, eps, kind
+    length = draw(st.sampled_from(range(3, 62, 2)))
+    if kind == "normalized":
+        half = [1] * ((length + 1) // 2) + [-1] * (length // 2)
+        sides = [BinarySequence(tuple(draw(st.permutations(half)))) for _ in range(2)]
+    else:
+        other = length
+        if kind == "lengths":
+            other = draw(st.sampled_from(range(1, 62, 2)).filter(lambda n: n != length))
+        sides = [
+            BinarySequence(tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))))
+            for n in (length, other)
+        ]
+    return sides[0], sides[1], eps, kind
+
+
+class TestAgainstReference:
+    """``verify_pair``, ``canonical_string`` and ``pair_class_id`` against
+    the per-lag and image-by-image references of ``helpers``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sequence_pairs())
+    def test_verify_pair_equals_reference(self, case):
+        a, b, eps, kind = case
+        expected = reference_verify_pair(a, b, eps)
+        result = verify_pair(a, b, eps)
+        assert type(result) is type(expected)
+        assert result == expected
+        if result:
+            assert all(type(v) is int for v in result.paf_sums)
+        else:
+            assert type(result.lag) is type(expected.lag)
+        if kind == "true":
+            assert bool(expected) == (eps > 0)
+        for x in (a, b):
+            lags = range(1, len(x) // 2 + 1)
+            assert x.paf_half.tolist() == [sq.paf(x, s) for s in lags]
+            # double-precision sums of l <= 61 unit terms: far inside 1e-9
+            assert np.allclose(x.psd_half, [sq.psd(x, s) for s in lags], rtol=0, atol=1e-9)
+            assert canonical_string(x) == reference_canonical_string(x)
+        assert pair_class_id(a, b) == reference_pair_class_id(a, b)
+
+    def test_quadratic_residue_pairs_are_pairs(self):
+        for p in QR_PRIMES:
+            q = qr_sequence(p)
+            assert verify_pair(q, q) == reference_verify_pair(q, q)
+            assert verify_pair(q, q)
+
+    def test_published_pairs_equal_reference(self):
+        pairs = [pair_117(i) for i in range(len(kp.PAIRS_117))]
+        pairs += [pair_133(i) for i in range(len(kp.RANKS_133))]
+        pairs += [
+            (decode_indices(129, kp.SUBGROUP_129, ia), decode_indices(129, kp.SUBGROUP_129, ib))
+            for ia, ib in kp.PAIRS_129
+        ]
+        pairs.append(tuple(decode_indices(147, kp.SUBGROUP_147, s) for s in kp.PAIR_147_INDEX_SETS))
+        pairs += [
+            tuple(decode_rank(147, kp.SUBGROUP_147, kp.COMPOSITION_147, r) for r in ranks)
+            for ranks in kp.RANKS_147_LOW_HIGH
+        ]
+        assert len(pairs) == 21
+        for a, b in pairs:
+            result = verify_pair(a, b)
+            assert result and result == reference_verify_pair(a, b)
+        # a cross pairing fails at the reference's first failing lag
+        (a1, _), (_, b2) = pairs[0], pairs[1]
+        assert verify_pair(a1, b2) == reference_verify_pair(a1, b2)
 
 
 class TestClassId:
@@ -123,6 +251,11 @@ class TestHadamard:
         h, _ = hadamard_from_pair(verify_pair(a, b))
         assert h.shape == (268, 268)
         assert np.array_equal(h @ h.T, 268 * np.eye(268, dtype=np.int64))
+
+    def test_circulant_rows_are_rolls(self):
+        entries = (1, -1, -1, 1, 1, -1, 1)
+        expected = np.stack([np.roll(np.array(entries, dtype=np.int64), k) for k in range(7)])
+        assert np.array_equal(verify._circulant(entries), expected)
 
     def test_format_matrix(self):
         h = np.array([[1, -1], [-1, 1]])
