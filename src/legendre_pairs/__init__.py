@@ -4,97 +4,7 @@ A Legendre pair is two {-1,+1} sequences of odd length whose periodic
 autocorrelations sum to -2 at every nonzero lag.  The package provides exact
 PSD spectrum filters at lag l/3, union-of-orbits search with fingerprint
 matching, lexicographic rank decoding of published solutions, and Hadamard
-matrix construction of order 2l+2.
+matrix construction of order 2l+2.  Import each name from its module.
 """
-
-from .nt import (
-    OrbitDecomposition,
-    SpectrumEntry,
-    Subgroup,
-    admissible_psd_pairs,
-    is_multiplier,
-    orbit_decomposition,
-    orbit_psd_values,
-    signed_assignments,
-    spectrum_mod3,
-    subgroups_of_order,
-    three_squares_all_odd,
-)
-from .ranking import (
-    OrbitSelection,
-    decode_selection,
-    parse_composition,
-    rank_to_sequence,
-    subset_rank,
-    subset_unrank,
-)
-from .search import (
-    CandidateRecord,
-    SearchPlan,
-    fingerprint,
-    match_candidates,
-    run_search,
-    split_ranges,
-)
-from .sequences import (
-    EPS,
-    BinarySequence,
-    apply_symmetry,
-    compress,
-    dft,
-    paf,
-    power_sums,
-    psd,
-    psd_exact_third,
-    residue_sums_mod3,
-)
-from .verify import (
-    LegendrePairResult,
-    compression_certificate,
-    hadamard_from_pair,
-    symmetry_reduce,
-    verify_pair,
-)
-
-__all__ = [
-    "EPS",
-    "BinarySequence",
-    "CandidateRecord",
-    "LegendrePairResult",
-    "OrbitDecomposition",
-    "OrbitSelection",
-    "SearchPlan",
-    "SpectrumEntry",
-    "Subgroup",
-    "admissible_psd_pairs",
-    "apply_symmetry",
-    "compress",
-    "compression_certificate",
-    "decode_selection",
-    "dft",
-    "fingerprint",
-    "hadamard_from_pair",
-    "is_multiplier",
-    "match_candidates",
-    "orbit_decomposition",
-    "orbit_psd_values",
-    "paf",
-    "parse_composition",
-    "power_sums",
-    "psd",
-    "psd_exact_third",
-    "rank_to_sequence",
-    "residue_sums_mod3",
-    "run_search",
-    "signed_assignments",
-    "spectrum_mod3",
-    "split_ranges",
-    "subgroups_of_order",
-    "subset_rank",
-    "subset_unrank",
-    "symmetry_reduce",
-    "three_squares_all_odd",
-    "verify_pair",
-]
 
 __version__ = "0.1.0"

@@ -2,13 +2,12 @@
 
 Every command is a thin binding over the library; exit codes are 0 for
 success, 2 for validation errors, 3 for verification failures and 4 for I/O
-errors.  The LP_EPS environment variable overrides the float tolerance.
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,10 +16,6 @@ from . import nt, oracle, pipeline, ranking
 from . import search as se
 from . import sequences as sq
 from . import verify as vf
-
-
-class VerificationFailure(Exception):
-    """A command-level verification failed (exit code 3)."""
 
 
 def _parse_subgroup(length: int, text: str) -> nt.Subgroup:
@@ -153,23 +148,11 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _decode_pair_record(rec: dict) -> tuple[sq.BinarySequence, sq.BinarySequence]:
-    length = rec["l"]
-    sub = nt.Subgroup(length, tuple(rec["subgroup"]))
-    decomp = nt.orbit_decomposition(length, sub)
-    pol_a = ranking.parse_polarity(rec.get("polarity_a", "plus"))
-    pol_b = ranking.parse_polarity(rec.get("polarity_b", "plus"))
-    a = ranking.decode_selection(ranking.indices_to_selection(decomp, rec["I_A"], pol_a))
-    b = ranking.decode_selection(ranking.indices_to_selection(decomp, rec["I_B"], pol_b))
-    return a, b
-
-
 def cmd_verify(args) -> int:
-    records = json.loads(Path(args.pairs).read_text())
+    pairs = pipeline.read_pairs(Path(args.pairs))
     lines = []
     failures = 0
-    for i, rec in enumerate(records):
-        a, b = _decode_pair_record(rec)
+    for i, (a, b) in enumerate(pairs):
         result = vf.verify_pair(a, b)
         if result:
             third = f" psd_third={result.psd_third}" if result.psd_third else ""
@@ -182,21 +165,20 @@ def cmd_verify(args) -> int:
         Path(args.report).write_text(report)
     print(report, end="")
     if failures:
-        raise VerificationFailure(f"{failures} of {len(records)} pairs failed")
+        raise vf.VerificationError(f"{failures} of {len(pairs)} pairs failed")
     return 0
 
 
 def cmd_hadamard(args) -> int:
-    records = json.loads(Path(args.pairs).read_text())
+    pairs = pipeline.read_pairs(Path(args.pairs))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, rec in enumerate(records):
-        a, b = _decode_pair_record(rec)
+    for i, (a, b) in enumerate(pairs):
         result = vf.verify_pair(a, b)
         if not result:
-            raise VerificationFailure(f"pair {i} is not a Legendre pair: {result.reason}")
+            raise vf.VerificationError(f"pair {i} is not a Legendre pair: {result.reason}")
         matrix, variant = vf.hadamard_from_pair(result)
-        path = out_dir / f"hadamard-{rec['l']}-{i:03d}.txt"
+        path = out_dir / f"hadamard-{result.length}-{i:03d}.txt"
         path.write_text(vf.format_matrix(matrix) + "\n")
         print(f"pair {i}: order-{matrix.shape[0]} matrix (template variant {variant}) -> {path}")
     return 0
@@ -232,7 +214,7 @@ def cmd_oracle(args) -> int:
     if args.show:
         for pair in sorted(tuple(sorted(p)) for p in pairs):
             for entries in pair:
-                print("  " + "".join("+" if e == 1 else "-" for e in entries))
+                print("  " + sq.BinarySequence(entries).pm_string())
             print()
     return 0
 
@@ -242,6 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lptool", description="Legendre pair search, decoding and verification toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # the flags of the search and pipeline commands
+    search_flags = argparse.ArgumentParser(add_help=False)
+    search_flags.add_argument("--l", type=int, required=True)
+    search_flags.add_argument("--subgroup", required=True)
+    search_flags.add_argument("--out", required=True)
+    search_flags.add_argument("--workers", type=int, default=1)
+    search_flags.add_argument("--checkpoint-every", type=int, default=100_000)
+    search_flags.add_argument("--no-third-filter", action="store_true")
 
     p = sub.add_parser("spectrum", help="admissible PSD value pairs at lag l/3")
     p.add_argument("l", type=int)
@@ -273,16 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity", default="plus", choices=("plus", "minus"))
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("search", help="run the two-stage filtered search over a rank range")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--subgroup", required=True)
+    p = sub.add_parser(
+        "search", parents=[search_flags], help="run the two-stage filtered search over a rank range"
+    )
     p.add_argument("--composition", required=True)
     p.add_argument("--polarity", default="plus", choices=("plus", "minus"))
     p.add_argument("--range", help="LO:HI rank range (default: full space)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint-every", type=int, default=100_000)
-    p.add_argument("--no-third-filter", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("match", help="match candidate records and verify pairs")
@@ -301,15 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hadamard)
 
-    p = sub.add_parser("pipeline", help="search + match + verify end to end")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--subgroup", required=True)
+    p = sub.add_parser("pipeline", parents=[search_flags], help="search + match + verify end to end")
     p.add_argument("--compositions", help="semicolon-separated, e.g. '2x1+19x3'; default: full sweep")
     p.add_argument("--polarity", default="both", choices=("plus", "minus", "both"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint-every", type=int, default=100_000)
-    p.add_argument("--no-third-filter", action="store_true")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("oracle", help="brute-force reference pairs for small lengths")
@@ -326,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (vf.VerificationError, VerificationFailure) as exc:
+    except vf.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

@@ -32,6 +32,8 @@ class Subgroup:
         if 1 not in elems:
             raise ValueError("subgroup must contain 1")
         for x in elems:
+            if not 1 <= x < self.modulus:
+                raise ValueError(f"element {x} outside 1..{self.modulus - 1}")
             if math.gcd(x, self.modulus) != 1:
                 raise ValueError(f"element {x} not coprime to {self.modulus}")
             for y in elems:
@@ -190,18 +192,6 @@ def orbit_decomposition(modulus: int, subgroup: Subgroup) -> OrbitDecomposition:
     return OrbitDecomposition(subgroup, tuple(orbits))
 
 
-def is_multiplier(modulus: int, t: int, positions: Iterable[int]) -> tuple[bool, int | None]:
-    """Whether t*I = I + g for some shift g; returns (flag, smallest g)."""
-    if math.gcd(t, modulus) != 1:
-        raise ValueError(f"{t} not coprime to {modulus}")
-    base = frozenset(x % modulus for x in positions)
-    mapped = frozenset((t * x) % modulus for x in base)
-    for g in range(modulus):
-        if mapped == frozenset((x + g) % modulus for x in base):
-            return True, g
-    return False, None
-
-
 def three_squares_all_odd(n: int) -> list[tuple[int, int, int]]:
     """All-odd positive triples x <= y <= z with x^2 + y^2 + z^2 = n.
 
@@ -237,18 +227,8 @@ def signed_assignments(
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """An admissible pair of PSD values at lag l/3 with witness triples."""
-
-    psd_pair: tuple[int, int]
-    triples_a: tuple[tuple[int, int, int], ...]
-    triples_b: tuple[tuple[int, int, int], ...]
-    witnesses_a: tuple[tuple[int, int, int], ...]
-    witnesses_b: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
-class SpectrumCandidate:
-    """One candidate row of the spectrum computation, kept or discarded."""
+    """One candidate pair of PSD values at lag l/3 with its all-odd triples,
+    witness assignments and verdict, kept or discarded."""
 
     psd_pair: tuple[int, int]
     square_sum_a: int
@@ -261,7 +241,7 @@ class SpectrumCandidate:
     reason: str
 
 
-def spectrum_candidates(length: int) -> list[SpectrumCandidate]:
+def spectrum_candidates(length: int) -> list[SpectrumEntry]:
     """All candidate PSD value pairs at lag l/3, each with its verdict.
 
     Candidates are [12s+4, 2l+2-(12s+4)] for ascending s, canonicalized so
@@ -291,7 +271,7 @@ def spectrum_candidates(length: int) -> list[SpectrumCandidate]:
         else:
             admissible, reason = True, ""
         rows.append(
-            SpectrumCandidate(pair, sq_a, sq_b, triples_a, triples_b, wit_a, wit_b, admissible, reason)
+            SpectrumEntry(pair, sq_a, sq_b, triples_a, triples_b, wit_a, wit_b, admissible, reason)
         )
     rows.sort(key=lambda r: r.psd_pair)
     return rows
@@ -299,11 +279,7 @@ def spectrum_candidates(length: int) -> list[SpectrumCandidate]:
 
 def spectrum_mod3(length: int) -> list[SpectrumEntry]:
     """The complete admissible spectrum of PSD value pairs at lag l/3."""
-    return [
-        SpectrumEntry(r.psd_pair, r.triples_a, r.triples_b, r.witnesses_a, r.witnesses_b)
-        for r in spectrum_candidates(length)
-        if r.admissible
-    ]
+    return [r for r in spectrum_candidates(length) if r.admissible]
 
 
 def third_psd_from_counts(length: int, residue_counts: Iterable[Sequence[int]]) -> int:

@@ -16,18 +16,6 @@ from .nt import Subgroup
 from .sequences import BinarySequence
 
 
-def all_normalized_sequences(length: int) -> list[BinarySequence]:
-    """Every {-1,+1} sequence of the given odd length summing to +1."""
-    k = (length + 1) // 2
-    out = []
-    for plus_positions in combinations(range(length), k):
-        entries = [-1] * length
-        for p in plus_positions:
-            entries[p] = 1
-        out.append(BinarySequence(tuple(entries)))
-    return out
-
-
 def _paf_profiles(seqs: list[BinarySequence], length: int) -> np.ndarray:
     """PAF values at lags 1..(l-1)/2 for each sequence, one row per sequence."""
     arr = np.array([s.entries for s in seqs], dtype=np.int64).reshape(len(seqs), length)
@@ -47,7 +35,12 @@ def brute_force_pairs(
     orbit-closed +1 position sets (h * I = I for every subgroup element),
     matching the union-of-orbits search space.
     """
-    seqs = all_normalized_sequences(length)
+    seqs = []  # every sequence summing to +1
+    for plus_positions in combinations(range(length), (length + 1) // 2):
+        entries = [-1] * length
+        for p in plus_positions:
+            entries[p] = 1
+        seqs.append(BinarySequence(tuple(entries)))
     if subgroup is not None:
         kept = []
         for s in seqs:

@@ -1,5 +1,5 @@
 """End-to-end orchestration: plan construction, worker fan-out over rank
-ranges, record matching, exact verification, and pairs/report emission.
+ranges, record matching, exact verification, and the pairs.json codec.
 
 A run directory holds one subdirectory per plan (a composition/polarity
 combination), each with its plan.json, per-worker record files and
@@ -37,6 +37,7 @@ from .search import (
     split_ranges,
     write_plan,
 )
+from .sequences import BinarySequence
 from .verify import LegendrePairResult
 
 
@@ -90,7 +91,6 @@ def build_plans(
 
 @dataclass
 class PipelineResult:
-    plan_dirs: list[Path]
     stats: list[SearchStats]
     matches: list[MatchResult]
     pairs: list[LegendrePairResult]
@@ -104,6 +104,8 @@ def run_plan_workers(
     lo, hi = plan.resolved_range()
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     write_plan(directory, plan)
     ranges = split_ranges(hi - lo, workers)
     jobs = [
@@ -194,6 +196,41 @@ def write_pairs(path: Path, matches: list[MatchResult]) -> None:
     path.write_text(json.dumps(records, indent=2) + "\n")
 
 
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
+def read_pairs(path: Path) -> list[tuple[BinarySequence, BinarySequence]]:
+    """The (a, b) sequences of a pairs file written by ``write_pairs``.  A
+    record without ``polarity_a``/``polarity_b`` decodes that side as plus.
+    A top level that is not a list, a record that is not an object, an ``l``
+    that is not an integer, or a ``subgroup``, ``I_A`` or ``I_B`` that is not
+    a list of integers raises ValueError."""
+    records = json.loads(path.read_text())
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a list of pair records")
+    pairs = []
+    for i, rec in enumerate(records):
+        where = f"{path}: pair {i}"
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where} is not an object")
+        length = rec["l"]
+        if type(length) is not int:
+            raise ValueError(f"{where}: l must be an integer, got {length!r}")
+        subgroup = Subgroup(length, tuple(_int_list(rec["subgroup"], f"{where}: subgroup")))
+        decomp = orbit_decomposition(length, subgroup)
+
+        def side(indices: str, polarity: str) -> BinarySequence:
+            chosen = _int_list(rec[indices], f"{where}: {indices}")
+            polarity_value = ranking.parse_polarity(rec.get(polarity, "plus"))
+            return ranking.decode_selection(ranking.indices_to_selection(decomp, chosen, polarity_value))
+
+        pairs.append((side("I_A", "polarity_a"), side("I_B", "polarity_b")))
+    return pairs
+
+
 def run_pipeline(
     run_dir: Path,
     plans: list[SearchPlan],
@@ -202,12 +239,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Search every plan, then match, verify and write pairs.json."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    plan_dirs = []
     stats = []
     for i, plan in enumerate(plans):
-        plan_dir = run_dir / f"plan-{i:03d}"
-        plan_dirs.append(plan_dir)
-        stats.extend(run_plan_workers(plan, plan_dir, workers, checkpoint_every))
+        stats.extend(run_plan_workers(plan, run_dir / f"plan-{i:03d}", workers, checkpoint_every))
     matches, pairs, false_candidates = match_run(run_dir)
     write_pairs(run_dir / "pairs.json", matches)
-    return PipelineResult(plan_dirs, stats, matches, pairs, false_candidates)
+    return PipelineResult(stats, matches, pairs, false_candidates)

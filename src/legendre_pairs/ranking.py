@@ -153,9 +153,6 @@ class OrbitSelection:
                 f"chosen orbits cover {covered} positions, need {target} for polarity {self.polarity:+d}"
             )
 
-    def covered_residues(self) -> set[int]:
-        return {x for r in self.chosen for x in self.decomp.orbit_of_rep[r]}
-
 
 def decode_orbits(
     decomp: OrbitDecomposition, chosen: Sequence[int], value: int

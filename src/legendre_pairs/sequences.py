@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -21,8 +20,8 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-#: Tolerance for all float-vs-exact comparisons.  Override with env LP_EPS.
-EPS = float(os.environ.get("LP_EPS", "1e-6"))
+#: Tolerance for all float-vs-exact comparisons.
+EPS = 1e-6
 
 IntSequence = Sequence[int]
 
@@ -78,21 +77,10 @@ class BinarySequence:
     def pm_string(self) -> str:
         return "".join("+" if e == 1 else "-" for e in self.entries)
 
-    @classmethod
-    def from_plus_residues(cls, length: int, plus: Sequence[int]) -> "BinarySequence":
-        """Build the sequence whose +1 positions are the given residues mod length."""
-        entries = [-1] * length
-        for r in plus:
-            entries[(r - 1) % length] = 1
-        return cls(tuple(entries))
-
     def plus_residues(self) -> frozenset[int]:
         """Residues (elements of Z_l) at which the sequence equals +1."""
         l = len(self.entries)
         return frozenset((k + 1) % l for k, e in enumerate(self.entries) if e == 1)
-
-    def negated(self) -> "BinarySequence":
-        return BinarySequence(tuple(-e for e in self.entries))
 
     # Verification invariants, computed once per object: the join decodes
     # each (plan, rank) once, so all pairs sharing a sequence share these.
@@ -143,11 +131,6 @@ def paf(a: IntSequence, s: int) -> int:
     if not 0 <= s < l:
         raise LagError(f"lag {s} out of range [0, {l})")
     return sum(a[i] * a[(i + s) % l] for i in range(l))
-
-
-def paf_vector(a: IntSequence) -> tuple[int, ...]:
-    """PAF values at every lag 0..l-1."""
-    return tuple(paf(a, s) for s in range(len(a)))
 
 
 def dft(a: IntSequence, s: int) -> complex:
@@ -227,19 +210,3 @@ def apply_symmetry(a: BinarySequence, shift: int, do_revert: bool) -> BinarySequ
     out = cyclic_shift(a, shift)
     return revert(out) if do_revert else out
 
-
-def symmetry_images(a: BinarySequence) -> Iterator[BinarySequence]:
-    """All 2*l shift/revert images of a sequence."""
-    for j in range(len(a)):
-        shifted = cyclic_shift(a, j)
-        yield shifted
-        yield revert(shifted)
-
-
-def parse_int_sequence(text: str) -> list[int]:
-    """Parse a comma-separated integer sequence."""
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def format_int_sequence(a: IntSequence) -> str:
-    return ",".join(str(e) for e in a)

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from . import sequences as sq
-from .nt import spectrum_mod3
 from .sequences import BinarySequence, EPS
 
 
@@ -51,11 +50,6 @@ class LegendrePairResult:
         return len(self.a)
 
 
-def canonical_string(a: BinarySequence) -> str:
-    """Lexicographically smallest +/- string over all shift/revert images."""
-    return a.canonical
-
-
 def pair_class_id(a: BinarySequence, b: BinarySequence) -> tuple[str, str]:
     """Canonical id of the pair's class under per-side shift/revert and swap."""
     ca, cb = a.canonical, b.canonical
@@ -88,14 +82,6 @@ def verify_pair(
         return PairFailure("PSD complement identity violated", lag=int(off[0]) + 1)
     psd_third = (a.psd_third, b.psd_third) if length % 3 == 0 else None
     return LegendrePairResult(a, b, tuple(sums.tolist()), psd_third, pair_class_id(a, b))
-
-
-def check_spectrum_membership(result: LegendrePairResult) -> bool:
-    """Whether the pair's exact lag-l/3 PSD pair lies in the full spectrum."""
-    if result.psd_third is None:
-        return True
-    pair = tuple(sorted(result.psd_third))
-    return pair in {e.psd_pair for e in spectrum_mod3(result.length)}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
-"""Shared decoding helpers and per-lag reference verifiers for the test suite."""
+"""Shared decoding helpers, reference symmetry and multiplier checks, and
+per-lag reference verifiers for the test suite."""
 
 from __future__ import annotations
 
-from legendre_pairs import BinarySequence, Subgroup, orbit_decomposition
+import math
+from typing import Iterable, Iterator
+
 from legendre_pairs import sequences as sq
-from legendre_pairs.sequences import EPS
+from legendre_pairs.nt import Subgroup, orbit_decomposition
+from legendre_pairs.sequences import EPS, BinarySequence, cyclic_shift, revert
 from legendre_pairs.verify import LegendrePairResult, PairFailure
 from legendre_pairs.ranking import (
     decode_selection,
@@ -12,6 +16,26 @@ from legendre_pairs.ranking import (
     parse_composition,
     rank_to_selection,
 )
+
+
+def symmetry_images(a: BinarySequence) -> Iterator[BinarySequence]:
+    """All 2*l shift/revert images of a sequence."""
+    for j in range(len(a)):
+        shifted = cyclic_shift(a, j)
+        yield shifted
+        yield revert(shifted)
+
+
+def is_multiplier(modulus: int, t: int, positions: Iterable[int]) -> tuple[bool, int | None]:
+    """Whether t*I = I + g for some shift g; returns (flag, smallest g)."""
+    if math.gcd(t, modulus) != 1:
+        raise ValueError(f"{t} not coprime to {modulus}")
+    base = frozenset(x % modulus for x in positions)
+    mapped = frozenset((t * x) % modulus for x in base)
+    for g in range(modulus):
+        if mapped == frozenset((x + g) % modulus for x in base):
+            return True, g
+    return False, None
 
 
 def decomp_for(length: int, subgroup: tuple[int, ...]):
@@ -57,7 +81,7 @@ def rank_indices(
 
 def reference_canonical_string(a: BinarySequence) -> str:
     """Smallest +/- string over the 2l shift/revert images, image by image."""
-    return min(img.pm_string() for img in sq.symmetry_images(a))
+    return min(img.pm_string() for img in symmetry_images(a))
 
 
 def reference_pair_class_id(a: BinarySequence, b: BinarySequence) -> tuple[str, str]:

@@ -13,32 +13,30 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from legendre_pairs import (
-    BinarySequence,
-    EPS,
+from legendre_pairs.nt import (
     Subgroup,
     admissible_psd_pairs,
-    compress,
-    compression_certificate,
-    hadamard_from_pair,
+    element_order,
     orbit_decomposition,
     orbit_psd_values,
+    spectrum_candidates,
+    spectrum_mod3,
+    subgroups_of_order,
+)
+from legendre_pairs.oracle import brute_force_pairs
+from legendre_pairs.pipeline import build_plans, run_pipeline, third_psd_filter
+from legendre_pairs.ranking import composition_counts, parse_composition, subset_rank, subset_unrank
+from legendre_pairs.search import SearchPlan, read_records, run_chunk
+from legendre_pairs.sequences import (
+    EPS,
+    BinarySequence,
+    apply_symmetry,
+    compress,
     paf,
     psd,
     psd_exact_third,
-    spectrum_mod3,
-    subgroups_of_order,
-    subset_rank,
-    subset_unrank,
-    symmetry_reduce,
-    verify_pair,
 )
-from legendre_pairs.nt import element_order, spectrum_candidates
-from legendre_pairs.oracle import brute_force_pairs
-from legendre_pairs.pipeline import build_plans, run_pipeline, third_psd_filter
-from legendre_pairs.ranking import composition_counts, parse_composition
-from legendre_pairs.search import SearchPlan, read_records, run_chunk
-from legendre_pairs.sequences import apply_symmetry, paf_vector
+from legendre_pairs.verify import compression_certificate, hadamard_from_pair, symmetry_reduce, verify_pair
 
 import known_pairs as kp
 from helpers import decode_indices, decode_rank, decomp_for
@@ -284,7 +282,7 @@ def test_criterion_09_invariant_suites(capsys):
             length = rng.choice((5, 7, 9))
             a = random_seq(length)
             s = rng.randrange(1, length)
-            vec = paf_vector(a)
+            vec = [paf(a, t) for t in range(length)]
             expect = sum(
                 vec[t] * math.cos(2 * math.pi * s * t / length)
                 for t in range(length)

@@ -1,13 +1,101 @@
 """CLI commands as thin bindings over the library, including exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from legendre_pairs.cli import main
+import legendre_pairs
+from legendre_pairs.cli import build_parser, main
 from legendre_pairs.pipeline import match_run
 
 import known_pairs as kp
+
+
+#: per subcommand: (option strings, dest, required, default, choices, nargs)
+#: of every action but --help
+CLI_SURFACE = {
+    "spectrum": {((), "l", True, None, None, None)},
+    "subgroups": {
+        ((), "l", True, None, None, None),
+        (("--order",), "order", True, None, None, None),
+    },
+    "orbits": {
+        ((), "l", True, None, None, None),
+        (("--subgroup",), "subgroup", True, None, None, None),
+    },
+    "alg2": {
+        ((), "l", True, None, None, None),
+        (("--subgroup",), "subgroup", True, None, None, None),
+        (("--counts",), "counts", True, None, None, None),
+        (("--admissible",), "admissible", False, False, None, 0),
+    },
+    "decode": {
+        (("--l",), "l", True, None, None, None),
+        (("--subgroup",), "subgroup", True, None, None, None),
+        (("--indices",), "indices", False, None, None, None),
+        (("--rank",), "rank", False, None, None, None),
+        (("--composition",), "composition", False, None, None, None),
+        (("--polarity",), "polarity", False, "plus", ("plus", "minus"), None),
+    },
+    "search": {
+        (("--l",), "l", True, None, None, None),
+        (("--subgroup",), "subgroup", True, None, None, None),
+        (("--composition",), "composition", True, None, None, None),
+        (("--polarity",), "polarity", False, "plus", ("plus", "minus"), None),
+        (("--range",), "range", False, None, None, None),
+        (("--out",), "out", True, None, None, None),
+        (("--workers",), "workers", False, 1, None, None),
+        (("--checkpoint-every",), "checkpoint_every", False, 100_000, None, None),
+        (("--no-third-filter",), "no_third_filter", False, False, None, 0),
+    },
+    "match": {
+        (("--l",), "l", True, None, None, None),
+        ((), "records", True, None, None, "+"),
+        (("--emit-pairs",), "emit_pairs", False, None, None, None),
+    },
+    "verify": {
+        (("--pairs",), "pairs", True, None, None, None),
+        (("--report",), "report", False, None, None, None),
+    },
+    "hadamard": {
+        (("--pairs",), "pairs", True, None, None, None),
+        (("--out",), "out", True, None, None, None),
+    },
+    "pipeline": {
+        (("--l",), "l", True, None, None, None),
+        (("--subgroup",), "subgroup", True, None, None, None),
+        (("--compositions",), "compositions", False, None, None, None),
+        (("--polarity",), "polarity", False, "both", ("plus", "minus", "both"), None),
+        (("--out",), "out", True, None, None, None),
+        (("--workers",), "workers", False, 1, None, None),
+        (("--checkpoint-every",), "checkpoint_every", False, 100_000, None, None),
+        (("--no-third-filter",), "no_third_filter", False, False, None, 0),
+    },
+    "oracle": {
+        (("--l",), "l", True, None, None, None),
+        (("--subgroup",), "subgroup", False, None, None, None),
+        (("--show",), "show", False, False, None, 0),
+    },
+}
+
+
+def test_cli_surface_is_unchanged():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            (tuple(a.option_strings), a.dest, a.required, a.default, a.choices, a.nargs)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(1 for actions in surface.values() for opts, *_ in actions if opts) == 37
 
 
 def run(capsys, *argv):
@@ -155,8 +243,14 @@ class TestSearchFailures:
             (["--composition", "7x1", "--range", "0:1000"], "outside space [0, 792)"),
             (["--composition", "7x1", "--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
             (["--composition", "7x1", "--checkpoint-every", "-3"], "checkpoint_every must be >= 1"),
+            (["--composition", "7x1", "--workers", "0"], "workers must be >= 1"),
+            # 14 acts as 1 mod 13, but is not a residue
+            (["--composition", "7x1", "--subgroup", "1,14"], "element 14 outside 1..12"),
         ],
-        ids=["wrong-coverage", "range-outside-space", "checkpoint-every-0", "checkpoint-every-negative"],
+        ids=[
+            "wrong-coverage", "range-outside-space", "checkpoint-every-0", "checkpoint-every-negative",
+            "workers-0", "subgroup-element-outside-residues",
+        ],
     )
     def test_bad_plan_exits_2_before_plan_is_written(self, capsys, tmp_path, args, message):
         code, _, err = run(
@@ -208,6 +302,32 @@ class TestVerifyFailures:
         code, _, err = run(capsys, "verify", "--pairs", str(tmp_path / "nope.json"))
         assert code == 4 and "I/O error" in err
 
+    @pytest.mark.parametrize("command", ["verify", "hadamard"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"a": 1}, "expected a list of pair records"),
+            ([1], "pair 0 is not an object"),
+            ([{"l": 15, "subgroup": [1, 4], "I_A": [1, 2, 3, 6], "I_B": 5}], "I_B must be a list of integers"),
+            ([{"l": 15, "subgroup": [1, 4], "I_A": [1, "3"], "I_B": [1]}], "I_A must be a list of integers"),
+        ],
+        ids=["top-level-object", "element-not-object", "indices-not-list", "indices-not-ints"],
+    )
+    def test_malformed_pairs_file_exits_2(self, capsys, tmp_path, command, content, message):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(content))
+        extra = ["--out", str(tmp_path / "h")] if command == "hadamard" else []
+        code, out, err = run(capsys, command, "--pairs", str(path), *extra)
+        assert code == 2 and message in err and out == ""
+
+    def test_pairs_without_polarity_read_as_plus(self, capsys, tmp_path):
+        rec = {"l": 117, "subgroup": list(kp.SUBGROUP_117), "I_A": sorted(kp.PAIRS_117[0][0]),
+               "I_B": sorted(kp.PAIRS_117[0][1])}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([rec]))
+        code, out, _ = run(capsys, "verify", "--pairs", str(path))
+        assert code == 0 and out == "pair 0: VERIFIED psd_third=(64, 172)\n"
+
     def test_length_flag_is_rejected(self, capsys, tmp_path):
         # each pair record carries its own l; verify takes no --l
         path = tmp_path / "pairs.json"
@@ -241,6 +361,20 @@ class TestPipelineCommand:
             f"{len(matches)} fingerprint matches; {len(pairs)} verified pairs; "
             f"{false_candidates} false candidates dropped"
         )
+
+
+def test_lp_eps_in_the_environment_is_ignored(tmp_path):
+    # the float tolerance is a constant: a negative one would reject every pair
+    env = dict(os.environ, LP_EPS="-1")
+    src = str(Path(legendre_pairs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "legendre_pairs.cli", "pipeline", "--l", "15", "--subgroup", "1,4",
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "21 verified pairs; 0 false candidates" in done.stdout
 
 
 class TestOracleCommand:

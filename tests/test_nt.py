@@ -4,19 +4,19 @@ from collections import defaultdict
 
 import pytest
 
-from legendre_pairs import (
+from legendre_pairs.nt import (
     Subgroup,
     admissible_psd_pairs,
-    is_multiplier,
+    element_order,
     orbit_decomposition,
     orbit_psd_values,
-    psd_exact_third,
     signed_assignments,
+    spectrum_candidates,
     spectrum_mod3,
     subgroups_of_order,
     three_squares_all_odd,
+    unit_group,
 )
-from legendre_pairs.nt import element_order, spectrum_candidates, unit_group
 from legendre_pairs.ranking import (
     composition_counts,
     compositions_for,
@@ -24,8 +24,10 @@ from legendre_pairs.ranking import (
     rank_to_sequence,
     space_size,
 )
+from legendre_pairs.sequences import psd_exact_third
 
 import known_pairs as kp
+from helpers import is_multiplier
 
 
 class TestSubgroup:
@@ -40,6 +42,13 @@ class TestSubgroup:
     def test_coprimality_required(self):
         with pytest.raises(ValueError):
             Subgroup(9, (1, 3))
+
+    @pytest.mark.parametrize("elements", [(1, 16), (-1, 1, 14), (0, 1)])
+    def test_elements_must_be_residues(self, elements):
+        # (1, 16) would act as the trivial group with two elements, and
+        # (-1, 1, 14) as {1, 14} with three
+        with pytest.raises(ValueError, match="outside 1..14"):
+            Subgroup(15, elements)
 
     def test_generated_by(self):
         assert Subgroup.generated_by(117, [16]).elements == (1, 16, 22)

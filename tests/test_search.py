@@ -5,26 +5,21 @@ import itertools
 
 import pytest
 
-from legendre_pairs import (
-    CandidateRecord,
-    SearchPlan,
-    Subgroup,
-    fingerprint,
-    match_candidates,
-    orbit_decomposition,
-    ranking,
-    run_search,
-    search,
-    split_ranges,
-)
-from legendre_pairs.nt import representative_lags
+from legendre_pairs import ranking, search
+from legendre_pairs.nt import Subgroup, orbit_decomposition, representative_lags
 from legendre_pairs.oracle import brute_force_pairs
 from legendre_pairs.pipeline import build_plans, load_record_sets, run_pipeline, third_psd_filter
 from legendre_pairs.search import (
+    CandidateRecord,
+    SearchPlan,
+    fingerprint,
     fingerprint_lags,
+    match_candidates,
     read_plan,
     read_records,
     run_chunk,
+    run_search,
+    split_ranges,
     write_plan,
     _external_sort,
 )
@@ -79,7 +74,7 @@ class TestSplitRanges:
 
 class TestRepresentativeLags:
     def test_psd_constant_on_lag_orbits(self):
-        from legendre_pairs import psd
+        from legendre_pairs.sequences import psd
 
         decomp = orbit_decomposition(117, Subgroup(117, kp.SUBGROUP_117))
         reps = representative_lags(decomp)

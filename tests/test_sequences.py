@@ -7,19 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendre_pairs import BinarySequence, EPS, compress, dft, paf, psd, psd_exact_third
+from legendre_pairs.nt import Subgroup, orbit_decomposition
+from legendre_pairs.ranking import decode_orbits
 from legendre_pairs.sequences import (
+    EPS,
+    BinarySequence,
     LagError,
     apply_symmetry,
+    compress,
     cyclic_shift,
-    format_int_sequence,
-    paf_vector,
-    parse_int_sequence,
+    dft,
+    paf,
     power_sums,
+    psd,
+    psd_exact_third,
     residue_sums_mod3,
     revert,
-    symmetry_images,
 )
+
+from helpers import symmetry_images
 
 
 def random_pm(rng: random.Random, length: int) -> BinarySequence:
@@ -53,14 +59,16 @@ class TestBinarySequence:
         assert s.pm_string() == "++-+-"
 
     def test_plus_residues_round_trip(self):
+        # the decoder marks the chosen residues, and residue 0 takes the other sign
         s = BinarySequence.from_pm_string("++--+-+")
-        rebuilt = BinarySequence.from_plus_residues(7, sorted(s.plus_residues()))
+        decomp = orbit_decomposition(7, Subgroup(7, (1,)))
+        rebuilt = decode_orbits(decomp, sorted(set(range(1, 7)) - s.plus_residues()), -1)
         assert rebuilt == s
 
     def test_position_l_is_residue_zero(self):
-        s = BinarySequence.from_plus_residues(5, [0])
+        s = BinarySequence((-1, -1, -1, -1, 1))
         # residue 0 corresponds to the last position
-        assert s.entries == (-1, -1, -1, -1, 1)
+        assert s.plus_residues() == frozenset({0})
 
     def test_normalized(self):
         assert BinarySequence((1, 1, -1)).normalized
@@ -87,9 +95,9 @@ class TestPaf:
 
     @given(pm_sequences())
     def test_shift_revert_invariance(self, a):
-        vec = paf_vector(a)
-        assert paf_vector(cyclic_shift(a, 2)) == vec
-        assert paf_vector(revert(a)) == vec
+        vec = [paf(a, s) for s in range(len(a))]
+        assert [paf(cyclic_shift(a, 2), s) for s in range(len(a))] == vec
+        assert [paf(revert(a), s) for s in range(len(a))] == vec
 
 
 class TestDftPsd:
@@ -112,7 +120,7 @@ class TestDftPsd:
     def test_wiener_khinchin(self, a):
         # PSD at lag s equals the DFT of the PAF vector at lag s
         l = len(a)
-        vec = paf_vector(a)
+        vec = [paf(a, s) for s in range(l)]
         for s in range(1, l):
             expect = sum(
                 vec[t] * math.cos(2 * math.pi * s * t / l) for t in range(l)
@@ -166,7 +174,8 @@ class TestThirdLagExact:
 
 class TestSymmetries:
     def test_shift_moves_plus_positions(self):
-        a = BinarySequence.from_plus_residues(7, [1, 2, 3, 5])
+        a = BinarySequence.from_pm_string("+++-+--")
+        assert a.plus_residues() == frozenset({1, 2, 3, 5})
         shifted = cyclic_shift(a, 2)
         assert shifted.plus_residues() == frozenset({3, 4, 5, 0})
 
@@ -181,11 +190,6 @@ class TestSymmetries:
     def test_apply_symmetry_matches_composition(self):
         a = BinarySequence.from_pm_string("++-+--+")
         assert apply_symmetry(a, 3, True) == revert(cyclic_shift(a, 3))
-
-
-def test_int_sequence_round_trip():
-    assert parse_int_sequence("1,-5,3") == [1, -5, 3]
-    assert format_int_sequence([1, -5, 3]) == "1,-5,3"
 
 
 def test_power_sums():

@@ -7,24 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendre_pairs import (
-    BinarySequence,
-    compression_certificate,
-    hadamard_from_pair,
-    symmetry_reduce,
-    verify_pair,
-)
 from legendre_pairs import sequences as sq
 from legendre_pairs import verify
+from legendre_pairs.nt import spectrum_mod3
 from legendre_pairs.oracle import brute_force_pairs
-from legendre_pairs.sequences import EPS, apply_symmetry
+from legendre_pairs.sequences import EPS, BinarySequence, apply_symmetry
 from legendre_pairs.verify import (
     PremiseNotMet,
     VerificationError,
-    canonical_string,
-    check_spectrum_membership,
+    compression_certificate,
     format_matrix,
+    hadamard_from_pair,
     pair_class_id,
+    symmetry_reduce,
+    verify_pair,
 )
 
 import known_pairs as kp
@@ -82,7 +78,8 @@ class TestVerifyPair:
 
     def test_spectrum_membership(self):
         a, b = pair_117(0)
-        assert check_spectrum_membership(verify_pair(a, b))
+        result = verify_pair(a, b)
+        assert tuple(sorted(result.psd_third)) in {e.psd_pair for e in spectrum_mod3(117)}
 
 
 #: primes p = 3 (mod 4) below 62: the quadratic-residue sequence q with
@@ -148,7 +145,7 @@ def sequence_pairs(draw):
 
 
 class TestAgainstReference:
-    """``verify_pair``, ``canonical_string`` and ``pair_class_id`` against
+    """``verify_pair``, ``BinarySequence.canonical`` and ``pair_class_id`` against
     the per-lag and image-by-image references of ``helpers``."""
 
     @settings(max_examples=400, deadline=None)
@@ -170,7 +167,7 @@ class TestAgainstReference:
             assert x.paf_half.tolist() == [sq.paf(x, s) for s in lags]
             # double-precision sums of l <= 61 unit terms: far inside 1e-9
             assert np.allclose(x.psd_half, [sq.psd(x, s) for s in lags], rtol=0, atol=1e-9)
-            assert canonical_string(x) == reference_canonical_string(x)
+            assert x.canonical == reference_canonical_string(x)
         assert pair_class_id(a, b) == reference_pair_class_id(a, b)
 
     def test_quadratic_residue_pairs_are_pairs(self):
@@ -203,7 +200,7 @@ class TestAgainstReference:
 class TestClassId:
     def test_canonical_string_invariant(self):
         a, _ = pair_117(0)
-        assert canonical_string(a) == canonical_string(apply_symmetry(a, 5, True))
+        assert a.canonical == apply_symmetry(a, 5, True).canonical
 
     def test_class_id_symmetric_in_order(self):
         a, b = pair_117(0)
