@@ -209,4 +209,3 @@ def apply_symmetry(a: BinarySequence, shift: int, do_revert: bool) -> BinarySequ
         raise ValueError(f"shift {shift} out of range [0, {l})")
     out = cyclic_shift(a, shift)
     return revert(out) if do_revert else out
-
