@@ -112,16 +112,13 @@ def cmd_search(args) -> int:
     sub = _parse_subgroup(args.l, args.subgroup)
     comp = ranking.parse_composition(args.composition)
     polarity = ranking.parse_polarity(args.polarity)
-    plans = pipeline.build_plans(
-        args.l, sub, [comp], (polarity,), use_third_filter=not args.no_third_filter
-    )
+    plans = pipeline.build_plans(args.l, sub, [comp], (polarity,))
     if not plans:
         raise ValueError(f"composition {args.composition} does not fit polarity {args.polarity}")
-    rank_range = None
+    plan = plans[0]
     if args.range:
         lo, _, hi = args.range.partition(":")
-        rank_range = (int(lo), int(hi))
-    plan = replace(plans[0], rank_range=rank_range)
+        plan = replace(plan, rank_range=(int(lo), int(hi)))
     out_dir = Path(args.out)
     stats = pipeline.run_plan_workers(plan, out_dir, args.workers, args.checkpoint_every)
     scanned = sum(s.scanned for s in stats)
@@ -193,9 +190,7 @@ def cmd_pipeline(args) -> int:
         polarities: tuple[int, ...] = (1, -1)
     else:
         polarities = (ranking.parse_polarity(args.polarity),)
-    plans = pipeline.build_plans(
-        args.l, sub, comps, polarities, use_third_filter=not args.no_third_filter
-    )
+    plans = pipeline.build_plans(args.l, sub, comps, polarities)
     if not plans:
         raise ValueError("no plans match the requested compositions and polarities")
     result = pipeline.run_pipeline(Path(args.out), plans, args.workers, args.checkpoint_every)
@@ -232,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_flags.add_argument("--out", required=True)
     search_flags.add_argument("--workers", type=int, default=1)
     search_flags.add_argument("--checkpoint-every", type=int, default=100_000)
-    search_flags.add_argument("--no-third-filter", action="store_true")
 
     p = sub.add_parser("spectrum", help="admissible PSD value pairs at lag l/3")
     p.add_argument("l", type=int)

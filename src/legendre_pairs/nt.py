@@ -212,15 +212,13 @@ def three_squares_all_odd(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def signed_assignments(
-    triple: Sequence[int], target: int = 1
-) -> list[tuple[int, int, int]]:
-    """All signed orderings of a triple whose entries sum to ``target``."""
+def signed_assignments(triple: Sequence[int]) -> list[tuple[int, int, int]]:
+    """All signed orderings of a triple whose entries sum to 1."""
     out = set()
     for perm in permutations(triple):
         for signs in product((1, -1), repeat=3):
             cand = tuple(s * v for s, v in zip(signs, perm))
-            if sum(cand) == target:
+            if sum(cand) == 1:
                 out.add(cand)
     return sorted(out)
 
@@ -262,8 +260,8 @@ def spectrum_candidates(length: int) -> list[SpectrumEntry]:
         sq_b = (2 * pair[1] + 1) // 3
         triples_a = tuple(three_squares_all_odd(sq_a))
         triples_b = tuple(three_squares_all_odd(sq_b))
-        wit_a = tuple(w for t in triples_a for w in signed_assignments(t, 1))
-        wit_b = tuple(w for t in triples_b for w in signed_assignments(t, 1))
+        wit_a = tuple(w for t in triples_a for w in signed_assignments(t))
+        wit_b = tuple(w for t in triples_b for w in signed_assignments(t))
         if not triples_a or not triples_b:
             admissible, reason = False, "no all-odd three-squares solution"
         elif not wit_a or not wit_b:

@@ -29,6 +29,7 @@ from .search import (
     MatchResult,
     SearchPlan,
     SearchStats,
+    _int_list,
     fingerprint_lags,
     match_candidates,
     read_plan,
@@ -63,7 +64,6 @@ def build_plans(
     subgroup: Subgroup,
     compositions: list[Composition] | None = None,
     polarities: tuple[int, ...] = (1, -1),
-    use_third_filter: bool = True,
 ) -> list[SearchPlan]:
     """Plans for the given compositions, or a full sweep when none are given."""
     decomp = orbit_decomposition(length, subgroup)
@@ -76,14 +76,13 @@ def build_plans(
             comps = [c for c in compositions if ranking.coverage(c) == target]
         for comp in comps:
             counts = ranking.composition_counts(decomp, comp)
-            allowed = third_psd_filter(length, subgroup, counts) if use_third_filter else None
             plans.append(
                 SearchPlan(
                     length=length,
                     subgroup=subgroup.elements,
                     composition=comp,
                     polarity=polarity,
-                    allowed_third_psd=allowed,
+                    allowed_third_psd=third_psd_filter(length, subgroup, counts),
                 )
             )
     return plans
@@ -194,12 +193,6 @@ def write_pairs(path: Path, matches: list[MatchResult]) -> None:
             }
         )
     path.write_text(json.dumps(records, indent=2) + "\n")
-
-
-def _int_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
-    return value
 
 
 def read_pairs(path: Path) -> list[tuple[BinarySequence, BinarySequence]]:

@@ -142,6 +142,8 @@ class OrbitSelection:
 
     def __post_init__(self) -> None:
         target = coverage_target(self.decomp.modulus, self.polarity)
+        if len(set(self.chosen)) != len(self.chosen):
+            raise ValueError(f"orbit representatives repeat in {list(self.chosen)}")
         orbit_of_rep = self.decomp.orbit_of_rep
         covered = 0
         for r in self.chosen:

@@ -90,9 +90,16 @@ class CandidateRecord:
         return cls(int(parts[0]), parts[1], parts[2])
 
 
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SearchPlan:
-    """Everything needed to enumerate and filter one slice of a search space."""
+    """Everything needed to enumerate and filter one slice of a search space.
+    An invalid plan raises ValueError when it is built."""
 
     length: int
     subgroup: tuple[int, ...]
@@ -100,29 +107,40 @@ class SearchPlan:
     polarity: int
     rank_range: tuple[int, int] | None = None  # None = full space
     allowed_third_psd: frozenset[int] | None = None
-    eps: float = EPS
+
+    def __post_init__(self) -> None:
+        if type(self.length) is not int or self.length % 2 == 0:
+            raise ValueError(f"length must be an odd integer, got {self.length!r}")
+        decomp = orbit_decomposition(self.length, Subgroup(self.length, self.subgroup))
+        object.__setattr__(self, "_decomposition", decomp)  # not a field: eq and hash skip it
+        covered = ranking.coverage(self.composition)
+        target = ranking.coverage_target(self.length, self.polarity)
+        if covered != target:
+            comp = ranking.format_composition(self.composition)
+            raise ValueError(f"composition {comp} covers {covered} positions, need {target}")
+        size = ranking.space_size(decomp, self.composition)
+        if self.rank_range is not None:
+            lo, hi = self.rank_range
+            if not (type(lo) is type(hi) is int and 0 <= lo <= hi <= size):
+                raise ValueError(f"rank range [{lo}, {hi}) outside space [0, {size})")
+        if self.allowed_third_psd is not None and self.length % 3 != 0:
+            raise ValueError("allowed_third_psd requires a length divisible by 3")
 
     @property
     def psd_bound(self) -> float:
-        return 2 * self.length + 2 + self.eps
+        return 2 * self.length + 2 + EPS
 
     def decomposition(self) -> OrbitDecomposition:
-        return orbit_decomposition(self.length, Subgroup(self.length, self.subgroup))
+        return self._decomposition
 
     def space_size(self) -> int:
-        return ranking.space_size(self.decomposition(), self.composition)
+        return ranking.space_size(self._decomposition, self.composition)
 
     def resolved_range(self) -> tuple[int, int]:
-        if self.rank_range is None:
-            return (0, self.space_size())
-        lo, hi = self.rank_range
-        size = self.space_size()
-        if not 0 <= lo <= hi <= size:
-            raise ValueError(f"rank range [{lo}, {hi}) outside space [0, {size})")
-        return lo, hi
+        return self.rank_range if self.rank_range is not None else (0, self.space_size())
 
     def decode(self, rank: int) -> BinarySequence:
-        return ranking.rank_to_sequence(rank, self.decomposition(), self.composition, self.polarity)
+        return ranking.rank_to_sequence(rank, self._decomposition, self.composition, self.polarity)
 
     def to_dict(self) -> dict:
         return {
@@ -132,20 +150,24 @@ class SearchPlan:
             "polarity": ranking.format_polarity(self.polarity),
             "rank_range": None if self.rank_range is None else list(self.rank_range),
             "allowed_third_psd": None if self.allowed_third_psd is None else sorted(self.allowed_third_psd),
-            "eps": self.eps,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchPlan":
+        """Inverse of ``to_dict``; ignores other keys, such as older files' ``eps``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a plan must be a JSON object, got {data!r}")
+        for key in ("composition", "polarity"):
+            if not isinstance(data[key], str):
+                raise ValueError(f"plan {key} must be a string, got {data[key]!r}")
         rank_range, allowed = data.get("rank_range"), data.get("allowed_third_psd")
         return cls(
             length=data["length"],
-            subgroup=tuple(data["subgroup"]),
+            subgroup=tuple(_int_list(data["subgroup"], "plan subgroup")),
             composition=ranking.parse_composition(data["composition"]),
             polarity=ranking.parse_polarity(data["polarity"]),
-            rank_range=None if rank_range is None else tuple(rank_range),
-            allowed_third_psd=None if allowed is None else frozenset(allowed),
-            eps=data.get("eps", EPS),
+            rank_range=None if rank_range is None else tuple(_int_list(rank_range, "plan rank_range")),
+            allowed_third_psd=None if allowed is None else frozenset(_int_list(allowed, "plan allowed_third_psd")),
         )
 
 
@@ -242,15 +264,6 @@ def run_search(
     stats = SearchStats()
     mod3 = plan.length % 3 == 0
     allowed = plan.allowed_third_psd
-    if allowed is not None and not mod3:
-        raise ValueError("allowed_third_psd requires a length divisible by 3")
-    target = ranking.coverage_target(plan.length, plan.polarity)
-    if ranking.coverage(plan.composition) != target:
-        raise ValueError(
-            f"composition {ranking.format_composition(plan.composition)} covers "
-            f"{ranking.coverage(plan.composition)} positions, need {target}"
-        )
-
     if allowed is not None and not allowed:
         # stage 1 annihilates the whole range without any decoding
         stats.scanned = hi - lo

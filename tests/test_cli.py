@@ -51,7 +51,6 @@ CLI_SURFACE = {
         (("--out",), "out", True, None, None, None),
         (("--workers",), "workers", False, 1, None, None),
         (("--checkpoint-every",), "checkpoint_every", False, 100_000, None, None),
-        (("--no-third-filter",), "no_third_filter", False, False, None, 0),
     },
     "match": {
         (("--l",), "l", True, None, None, None),
@@ -74,7 +73,6 @@ CLI_SURFACE = {
         (("--out",), "out", True, None, None, None),
         (("--workers",), "workers", False, 1, None, None),
         (("--checkpoint-every",), "checkpoint_every", False, 100_000, None, None),
-        (("--no-third-filter",), "no_third_filter", False, False, None, 0),
     },
     "oracle": {
         (("--l",), "l", True, None, None, None),
@@ -95,7 +93,7 @@ def test_cli_surface_is_unchanged():
         for name, parser in subparsers.choices.items()
     }
     assert surface == CLI_SURFACE
-    assert sum(1 for actions in surface.values() for opts, *_ in actions if opts) == 37
+    assert sum(1 for actions in surface.values() for opts, *_ in actions if opts) == 35
 
 
 def run(capsys, *argv):
@@ -184,6 +182,11 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--l", "117", "--subgroup", "1,16,22")
         assert code == 2 and "error" in err
 
+    def test_repeated_representative_exits_2(self, capsys):
+        # 1, 1, 2, 3 covers 4 x 2 positions, but only three orbits
+        code, out, err = run(capsys, "decode", "--l", "15", "--subgroup", "1,4", "--indices", "1,1,2,3")
+        assert code == 2 and out == "" and "orbit representatives repeat in [1, 1, 2, 3]" in err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -246,10 +249,11 @@ class TestSearchFailures:
             (["--composition", "7x1", "--workers", "0"], "workers must be >= 1"),
             # 14 acts as 1 mod 13, but is not a residue
             (["--composition", "7x1", "--subgroup", "1,14"], "element 14 outside 1..12"),
+            (["--l", "16", "--composition", "8x1"], "length must be an odd integer, got 16"),
         ],
         ids=[
             "wrong-coverage", "range-outside-space", "checkpoint-every-0", "checkpoint-every-negative",
-            "workers-0", "subgroup-element-outside-residues",
+            "workers-0", "subgroup-element-outside-residues", "even-length",
         ],
     )
     def test_bad_plan_exits_2_before_plan_is_written(self, capsys, tmp_path, args, message):
@@ -259,6 +263,11 @@ class TestSearchFailures:
         )
         assert code == 2 and not (tmp_path / "out").exists()
         assert message in err
+
+
+def plan_15(**fields) -> dict:
+    """The plan.json of the l = 15, H = {1, 4} plan 4x2 plus, with ``fields`` replaced."""
+    return {"length": 15, "subgroup": [1, 4], "composition": "4x2", "polarity": "plus", **fields}
 
 
 class TestMatchFailures:
@@ -281,6 +290,41 @@ class TestMatchFailures:
         (plan_dir / "part-0000.rec").write_text("")
         code, _, err = run(capsys, "match", "--l", "13", str(plan_dir / "part-0000.rec"))
         assert code == 2 and "pluss" in err
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            (plan_15(subgroup=5), "plan subgroup must be a list of integers, got 5"),
+            (plan_15(subgroup=[1, 2]), "not closed under multiplication"),
+            (plan_15(composition=5), "plan composition must be a string, got 5"),
+            (plan_15(composition="6x2"), "composition 6x2 covers 12 positions, need 8"),
+            (plan_15(composition="8x1"), "composition asks for 8 size-1 orbits, only 2 exist"),
+            (plan_15(polarity=1), "plan polarity must be a string, got 1"),
+            (plan_15(allowed_third_psd=5), "plan allowed_third_psd must be a list of integers, got 5"),
+            (plan_15(rank_range=[0, "5"]), "plan rank_range must be a list of integers, got [0, '5']"),
+            (plan_15(rank_range=[0, 16]), "rank range [0, 16) outside space [0, 15)"),
+            (plan_15(length="15"), "length must be an odd integer, got '15'"),
+            (plan_15(length=16), "length must be an odd integer, got 16"),
+            (
+                plan_15(length=13, subgroup=[1], composition="7x1", allowed_third_psd=[4]),
+                "allowed_third_psd requires a length divisible by 3",
+            ),
+            ([plan_15()], "a plan must be a JSON object"),
+        ],
+        ids=[
+            "subgroup-not-list", "subgroup-not-closed", "composition-not-string", "wrong-coverage",
+            "composition-too-large", "polarity-not-string", "allowed-not-list", "range-not-ints",
+            "range-outside-space", "length-not-int", "length-even", "allowed-without-3-dividing-l",
+            "top-level-list",
+        ],
+    )
+    def test_malformed_plan_exits_2(self, capsys, tmp_path, plan, message):
+        plan_dir = tmp_path / "plan"
+        plan_dir.mkdir()
+        (plan_dir / "plan.json").write_text(json.dumps(plan))
+        (plan_dir / "part-0000.rec").write_text("")
+        code, out, err = run(capsys, "match", "--l", "15", str(plan_dir / "part-0000.rec"))
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err
 
 
 class TestVerifyFailures:
@@ -310,8 +354,15 @@ class TestVerifyFailures:
             ([1], "pair 0 is not an object"),
             ([{"l": 15, "subgroup": [1, 4], "I_A": [1, 2, 3, 6], "I_B": 5}], "I_B must be a list of integers"),
             ([{"l": 15, "subgroup": [1, 4], "I_A": [1, "3"], "I_B": [1]}], "I_A must be a list of integers"),
+            (
+                [{"l": 15, "subgroup": [1, 4], "I_A": [1, 1, 2, 3], "I_B": [1, 2, 3, 6]}],
+                "orbit representatives repeat in [1, 1, 2, 3]",
+            ),
         ],
-        ids=["top-level-object", "element-not-object", "indices-not-list", "indices-not-ints"],
+        ids=[
+            "top-level-object", "element-not-object", "indices-not-list", "indices-not-ints",
+            "repeated-representative",
+        ],
     )
     def test_malformed_pairs_file_exits_2(self, capsys, tmp_path, command, content, message):
         path = tmp_path / "pairs.json"
@@ -361,6 +412,18 @@ class TestPipelineCommand:
             f"{len(matches)} fingerprint matches; {len(pairs)} verified pairs; "
             f"{false_candidates} false candidates dropped"
         )
+
+    def test_plan_files_with_eps_still_load(self, capsys, tmp_path):
+        # plan.json files of earlier versions carry the PSD tolerance as "eps"
+        run_dir = tmp_path / "run"
+        assert main(["pipeline", "--l", "15", "--subgroup", "1,4", "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        for path in run_dir.glob("*/plan.json"):
+            plan = json.loads(path.read_text())
+            assert "eps" not in plan
+            path.write_text(json.dumps({**plan, "eps": 1e-06}, indent=2) + "\n")
+        code, out, _ = run(capsys, "match", "--l", "15", *map(str, run_dir.glob("*/part-*.rec")))
+        assert code == 0 and "21 fingerprint matches; 21 verified pairs" in out
 
 
 def test_lp_eps_in_the_environment_is_ignored(tmp_path):

@@ -44,8 +44,9 @@ def windows(draw):
     decomp = nt.orbit_decomposition(length, sub)
     polarity = draw(st.sampled_from([p for p in (1, -1) if ranking.compositions_for(decomp, p)]))
     comp = draw(st.sampled_from(ranking.compositions_for(decomp, polarity)))
-    third_filter = draw(st.booleans()) and length % 3 == 0
-    [plan] = build_plans(length, sub, [comp], (polarity,), use_third_filter=third_filter)
+    [plan] = build_plans(length, sub, [comp], (polarity,))
+    if not draw(st.booleans()):
+        plan = replace(plan, allowed_third_psd=None)
     size = plan.space_size()
     count = draw(st.integers(1, min(size, MAX_WINDOW)))
     where = draw(st.sampled_from(["anywhere", "end", "carry"]))

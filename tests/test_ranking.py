@@ -122,6 +122,9 @@ class TestSelection:
         decomp = decomp_for(117, kp.SUBGROUP_117)
         with pytest.raises(ValueError):
             indices_to_selection(decomp, [16] + list(range(2, 20)), 1)
+        # four size-2 representatives cover 8 positions only when distinct
+        with pytest.raises(ValueError, match="repeat"):
+            indices_to_selection(decomp_for(15, (1, 4)), [1, 1, 2, 3], 1)
 
     def test_decode_entry_sum_is_one(self):
         for indices, _ in kp.PAIRS_117:

@@ -106,7 +106,7 @@ class TestRunSearch:
         # l = 15: search both polarities and match.  Elements = 2 (mod 3) mix
         # residue classes within an orbit, which stage 1 must account for.
         sub = Subgroup(15, elements)
-        plans = build_plans(15, sub, use_third_filter=True)
+        plans = build_plans(15, sub)
         record_sets = []
         for plan in plans:
             records, _ = collect(plan)
@@ -164,9 +164,8 @@ class TestRunSearch:
 
     def test_wrong_coverage_rejected(self):
         # five size-1 orbits of l = 9 cover five positions; polarity -1 needs four
-        plan = SearchPlan(9, (1,), ((1, 5),), -1, rank_range=(0, 10))
         with pytest.raises(ValueError, match="covers 5 positions, need 4"):
-            collect(plan)
+            SearchPlan(9, (1,), ((1, 5),), -1, rank_range=(0, 10))
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_checkpoint_every_below_1_rejected(self, tmp_path, every):
@@ -179,9 +178,8 @@ class TestRunSearch:
         assert not (tmp_path / "part-0000.ckpt").exists()
 
     def test_invalid_range(self):
-        plan = SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 10**9))
-        with pytest.raises(ValueError):
-            plan.resolved_range()
+        with pytest.raises(ValueError, match=r"outside space \[0, 56\)"):
+            SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 10**9))
 
 
 class TestExternalSort:
