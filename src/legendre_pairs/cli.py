@@ -112,10 +112,7 @@ def cmd_search(args) -> int:
     sub = _parse_subgroup(args.l, args.subgroup)
     comp = ranking.parse_composition(args.composition)
     polarity = ranking.parse_polarity(args.polarity)
-    plans = pipeline.build_plans(args.l, sub, [comp], (polarity,))
-    if not plans:
-        raise ValueError(f"composition {args.composition} does not fit polarity {args.polarity}")
-    plan = plans[0]
+    [plan] = pipeline.build_plans(args.l, sub, [comp], (polarity,))
     if args.range:
         lo, _, hi = args.range.partition(":")
         plan = replace(plan, rank_range=(int(lo), int(hi)))

@@ -72,28 +72,31 @@ def element_order(x: int, modulus: int) -> int:
 
 
 def subgroups_of_order(modulus: int, k: int) -> list[Subgroup]:
-    """All order-k subgroups of the units mod ``modulus``.
+    """All order-k subgroups of the units mod ``modulus``, sorted by their
+    element tuples.
 
-    Cyclic subgroups come from elements of order k; for k = 4 the subgroups
-    generated by pairs of distinct involutions are added, which covers the
-    non-cyclic (Klein) case.  Sorted by smallest non-identity element.
+    The units form an abelian group, so the join of a subgroup S with a
+    cyclic subgroup <x> is {s x^i}.  Every subgroup whose order divides k is
+    reached from {1} by such joins with cyclic subgroups of order dividing k.
     """
-    units = unit_group(modulus)
-    found: set[tuple[int, ...]] = set()
-    if k == 1:
-        return [Subgroup(modulus, (1,))]
-    for x in units:
-        if x != 1 and element_order(x, modulus) == k:
-            found.add(Subgroup.generated_by(modulus, [x]).elements)
-    if k == 4:
-        involutions = [x for x in units if x != 1 and (x * x) % modulus == 1]
-        for u, v in permutations(involutions, 2):
-            sub = Subgroup.generated_by(modulus, [u, v])
-            if len(sub) == 4:
-                found.add(sub.elements)
-    groups = [Subgroup(modulus, e) for e in found]
-    groups.sort(key=lambda g: g.elements[1] if len(g) > 1 else 0)
-    return groups
+    cyclic = set()
+    for x in unit_group(modulus):
+        powers = [1]
+        while (acc := powers[-1] * x % modulus) != 1:
+            powers.append(acc)
+        if k % len(powers) == 0:
+            cyclic.add(frozenset(powers))
+    frontier = {frozenset({1})} if k >= 1 else set()
+    found = set(frontier)
+    while frontier:
+        joins = {
+            frozenset(s * c % modulus for s in group for c in gen)
+            for group in frontier
+            for gen in cyclic
+        }
+        frontier = {j for j in joins if k % len(j) == 0} - found
+        found |= frontier
+    return sorted((Subgroup(modulus, tuple(g)) for g in found if len(g) == k), key=lambda g: g.elements)
 
 
 def orbit_residues(orbit: Iterable[int]) -> tuple[int, int, int]:

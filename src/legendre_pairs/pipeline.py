@@ -9,10 +9,10 @@ checkpoint sidecars; matching joins records across all plans of the run.
 from __future__ import annotations
 
 import json
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,7 +30,6 @@ from .search import (
     SearchPlan,
     SearchStats,
     _int_list,
-    fingerprint_lags,
     match_candidates,
     read_plan,
     read_records,
@@ -65,14 +64,19 @@ def build_plans(
     compositions: list[Composition] | None = None,
     polarities: tuple[int, ...] = (1, -1),
 ) -> list[SearchPlan]:
-    """Plans for the given compositions, or a full sweep when none are given."""
+    """Plans for the given compositions, or a full sweep when none are given.
+    A given composition that fits none of the polarities raises ValueError."""
     decomp = orbit_decomposition(length, subgroup)
+    targets = [ranking.coverage_target(length, polarity) for polarity in polarities]
+    for comp in compositions or []:
+        if ranking.coverage(comp) not in targets:
+            text, need = ranking.format_composition(comp), " or ".join(map(str, targets))
+            raise ValueError(f"composition {text} covers {ranking.coverage(comp)} positions, need {need}")
     plans = []
-    for polarity in polarities:
+    for polarity, target in zip(polarities, targets):
         if compositions is None:
             comps = ranking.compositions_for(decomp, polarity)
         else:
-            target = ranking.coverage_target(length, polarity)
             comps = [c for c in compositions if ranking.coverage(c) == target]
         for comp in comps:
             counts = ranking.composition_counts(decomp, comp)
@@ -92,8 +96,14 @@ def build_plans(
 class PipelineResult:
     stats: list[SearchStats]
     matches: list[MatchResult]
-    pairs: list[LegendrePairResult]
-    false_candidates: int
+
+    @property
+    def pairs(self) -> list[LegendrePairResult]:
+        return [m.pair for m in self.matches if m.verified]
+
+    @property
+    def false_candidates(self) -> int:
+        return sum(1 for m in self.matches if not m.verified)
 
 
 def run_plan_workers(
@@ -121,41 +131,20 @@ def run_plan_workers(
         return [f.result() for f in futures]
 
 
-def _checked_records(plan: SearchPlan, record_files: list[Path]) -> Iterator[CandidateRecord]:
-    """The records of the files, one file at a time, checked against the plan."""
-    lo, hi = plan.resolved_range()
-    hex_fingerprint = re.compile(f"[0-9a-f]{{{len(fingerprint_lags(plan.length))}}}")
-    for path in record_files:
-        for rec in read_records(path):
-            hex_ok = hex_fingerprint.fullmatch(rec.fp1) and hex_fingerprint.fullmatch(rec.fp2)
-            if not (hex_ok and lo <= rec.rank < hi):
-                raise ValueError(f"{path}: malformed record {rec.line()!r}")
-            yield rec
-
-
 def load_record_sets(
     record_files: Iterable[Path],
 ) -> list[tuple[SearchPlan, Iterator[CandidateRecord]]]:
     """Record sets for ``match_candidates``: one per plan directory, with the
-    records of its files read lazily, one file at a time.  A record whose
-    fingerprints are not lowercase hex of the plan's width, or whose rank is
-    outside the plan's range, raises ValueError."""
+    records of its files read lazily and checked by ``read_records``."""
     by_plan_dir: dict[Path, list[Path]] = {}
     for path in record_files:
         by_plan_dir.setdefault(path.parent, []).append(path)
     record_sets = []
     for plan_dir, paths in sorted(by_plan_dir.items()):
         plan = read_plan(plan_dir)
-        record_sets.append((plan, _checked_records(plan, sorted(paths))))
+        # each reader opens its file at its first record, so one file is open at a time
+        record_sets.append((plan, chain(*[read_records(path, plan) for path in sorted(paths)])))
     return record_sets
-
-
-def match_run(run_dir: Path) -> tuple[list[MatchResult], list[LegendrePairResult], int]:
-    """Match and verify all records under a run directory."""
-    matches = match_candidates(load_record_sets(run_dir.glob("*/part-*.rec")))
-    pairs = [m.pair for m in matches if m.verified]
-    false_candidates = sum(1 for m in matches if not m.verified)
-    return matches, pairs, false_candidates
 
 
 def write_pairs(path: Path, matches: list[MatchResult]) -> None:
@@ -192,7 +181,9 @@ def write_pairs(path: Path, matches: list[MatchResult]) -> None:
                 "polarity_b": polarity_b,
             }
         )
-    path.write_text(json.dumps(records, indent=2) + "\n")
+    with open(path, "w") as f:
+        json.dump(records, f, indent=2)
+        f.write("\n")
 
 
 def read_pairs(path: Path) -> list[tuple[BinarySequence, BinarySequence]]:
@@ -235,6 +226,6 @@ def run_pipeline(
     stats = []
     for i, plan in enumerate(plans):
         stats.extend(run_plan_workers(plan, run_dir / f"plan-{i:03d}", workers, checkpoint_every))
-    matches, pairs, false_candidates = match_run(run_dir)
+    matches = match_candidates(load_record_sets(run_dir.glob("*/part-*.rec")))
     write_pairs(run_dir / "pairs.json", matches)
-    return PipelineResult(stats, matches, pairs, false_candidates)
+    return PipelineResult(stats, matches)

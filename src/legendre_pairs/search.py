@@ -423,9 +423,21 @@ def read_plan(directory: Path) -> SearchPlan:
     return SearchPlan.from_dict(json.loads((directory / "plan.json").read_text()))
 
 
-def read_records(path: Path) -> list[CandidateRecord]:
+def read_records(path: Path, plan: SearchPlan) -> Iterator[CandidateRecord]:
+    """The records of one of the plan's record files, read lazily.  A line
+    whose rank is not canonical or lies outside the plan's range, or whose
+    fingerprints are not lowercase hex of the plan's width, raises
+    ValueError."""
+    lo, hi = plan.resolved_range()
+    hex_fp = re.compile(f"[0-9a-f]{{{len(fingerprint_lags(plan.length))}}}")
     with open(path) as f:
-        return [CandidateRecord.parse(line) for line in f if line.strip()]
+        for line in f:
+            if not line.strip():
+                continue
+            rec = CandidateRecord.parse(line)
+            if not (hex_fp.fullmatch(rec.fp1) and hex_fp.fullmatch(rec.fp2) and lo <= rec.rank < hi):
+                raise ValueError(f"{path}: malformed record {rec.line()!r}")
+            yield rec
 
 
 def _drop_records_after(path: Path, last: int) -> None:

@@ -8,7 +8,6 @@ identities are asserted as an additional consistency layer within EPS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +112,7 @@ class PremiseNotMet:
 
 
 def compression_certificate(
-    a: BinarySequence, b: BinarySequence, m: int, eps: float = EPS
+    a: BinarySequence, b: BinarySequence, m: int
 ) -> CompressionCertificate | PremiseNotMet:
     """Certificate that the m-compression forces integer PSDs at multiples of m.
 
@@ -121,7 +120,7 @@ def compression_certificate(
     lags 1..(n-1)/2 with the two constants summing to -2m; when that holds,
     the PSD of the original pair at lags m, 2m, ..., m*(n-1)/2 equals the
     second power sum minus the PAF constant, which is verified against the
-    floating-point PSD within eps.
+    floating-point PSD within ``EPS``.
     """
     length = len(a)
     if length % m != 0:
@@ -141,7 +140,7 @@ def compression_certificate(
     pred_b = sq.power_sums(cb)[1] - const_b
     lags = tuple(m * s for s in range(1, half + 1))
     for lag in lags:
-        if abs(sq.psd(a, lag) - pred_a) > eps or abs(sq.psd(b, lag) - pred_b) > eps:
+        if abs(sq.psd(a, lag) - pred_a) > EPS or abs(sq.psd(b, lag) - pred_b) > EPS:
             raise VerificationError(f"predicted PSD does not match float PSD at lag {lag}")
     return CompressionCertificate(m, n, ca, cb, const_a, const_b, pred_a, pred_b, lags)
 
@@ -155,41 +154,31 @@ def _circulant(entries: Sequence[int]) -> np.ndarray:
 def hadamard_from_pair(
     result: LegendrePairResult,
 ) -> tuple[np.ndarray, int]:
-    """Bordered two-circulant-core Hadamard matrix of order 2l+2.
+    """Bordered two-circulant-core Hadamard matrix of order 2l+2, and its
+    template variant, always 0.
 
-    The core blocks are the circulants of the two sequences; the sign
-    convention of the template varies across the literature, so the fixed
-    base template and its sign variants are tried and the first one passing
-    the exact orthogonality check H H^T = (2l+2) I is returned along with
-    the variant index.  Failure of every variant raises, never returns.
+    The core blocks are the circulants A and B of the two sequences.  Rows
+    of [A B] and of [B^T -A^T] are orthogonal to each other because
+    circulants commute, rows within each because PAF_A + PAF_B = -2, and the
+    border rows to the rest because both sequences sum to 1.  The exact check
+    H H^T = (2l+2) I guards this, and a failure raises.
     """
     length = result.length
     order = 2 * length + 2
     core_a = _circulant(result.a.entries)
     core_b = _circulant(result.b.entries)
-    ones = np.ones(length, dtype=np.int64)
-    for variant, (s_top, s_core) in enumerate(product((1, -1), repeat=2)):
-        top = np.block(
-            [
-                [np.array([[1, 1]]), -s_top * ones[None, :], -s_top * ones[None, :]],
-                [np.array([[1, -1]]), -s_top * ones[None, :], s_top * ones[None, :]],
-            ]
-        )
-        body = np.block(
-            [
-                [ones[:, None], ones[:, None], core_a, core_b],
-                [
-                    ones[:, None],
-                    -ones[:, None],
-                    s_core * core_b.T,
-                    -s_core * core_a.T,
-                ],
-            ]
-        )
-        h = np.vstack([top, body]).astype(np.int64)
-        if np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64)):
-            return h, variant
-    raise VerificationError("no sign variant of the two-circulant-core template is orthogonal")
+    ones = np.ones((length, 1), dtype=np.int64)
+    h = np.block(
+        [
+            [np.array([[1, 1]]), -ones.T, -ones.T],
+            [np.array([[1, -1]]), -ones.T, ones.T],
+            [ones, ones, core_a, core_b],
+            [ones, -ones, core_b.T, -core_a.T],
+        ]
+    ).astype(np.int64)
+    if not np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64)):
+        raise VerificationError("the two-circulant-core template is not orthogonal")
+    return h, 0
 
 
 def format_matrix(h: np.ndarray) -> str:

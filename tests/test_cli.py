@@ -11,7 +11,8 @@ import pytest
 
 import legendre_pairs
 from legendre_pairs.cli import build_parser, main
-from legendre_pairs.pipeline import match_run
+from legendre_pairs.pipeline import load_record_sets
+from legendre_pairs.search import match_candidates
 
 import known_pairs as kp
 
@@ -406,12 +407,23 @@ class TestPipelineCommand:
         code, out, _ = run(
             capsys, "match", "--l", "11", *map(str, run_dir.glob("*/part-*.rec")),
         )
-        matches, pairs, false_candidates = match_run(run_dir)
+        matches = match_candidates(load_record_sets(run_dir.glob("*/part-*.rec")))
+        pairs = [m.pair for m in matches if m.verified]
+        false_candidates = sum(1 for m in matches if not m.verified)
         assert code == 0
         assert out.splitlines()[0] == (
             f"{len(matches)} fingerprint matches; {len(pairs)} verified pairs; "
             f"{false_candidates} false candidates dropped"
         )
+
+    def test_composition_fitting_no_polarity_exits_2(self, capsys, tmp_path):
+        # at l = 13 a plus sequence marks 7 positions and a minus one 6, not 5
+        code, out, err = run(
+            capsys, "pipeline", "--l", "13", "--subgroup", "1", "--compositions", "7x1;5x1",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2 and out == "" and not (tmp_path / "run").exists()
+        assert "composition 5x1 covers 5 positions, need 7 or 6" in err
 
     def test_plan_files_with_eps_still_load(self, capsys, tmp_path):
         # plan.json files of earlier versions carry the PSD tolerance as "eps"

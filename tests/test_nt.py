@@ -1,6 +1,7 @@
 """Unit groups, orbits, three-squares solver and the exact PSD spectrum."""
 
 from collections import defaultdict
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -91,6 +92,33 @@ class TestSubgroupsOfOrder:
 
     def test_trivial_subgroup(self):
         assert [g.elements for g in subgroups_of_order(15, 1)] == [(1,)]
+
+    def test_117_order_9_contains_published(self):
+        got = [g.elements for g in subgroups_of_order(117, 9)]
+        assert got == [(1, 16, 22, 40, 55, 61, 79, 94, 100)]
+        assert set(kp.SUBGROUP_117) <= set(got[0])
+
+    @pytest.mark.parametrize("length, count", [(85, 7), (87, 1), (145, 3), (15, 1)])
+    def test_order_8_non_cyclic(self, length, count):
+        got = subgroups_of_order(length, 8)
+        assert len(got) == count and all(len(g) == 8 for g in got)
+
+    def test_every_subgroup_against_closures(self):
+        # an odd l < 200 has at most 3 distinct prime factors, so its unit
+        # group has rank <= 3 and every subgroup is generated by 3 units
+        def closure(length, gens):
+            elems = frontier = {1}
+            while frontier:
+                frontier = {x * g % length for x in frontier for g in gens} - elems
+                elems = elems | frontier
+            return tuple(sorted(elems))
+
+        for length in range(3, 50, 2):
+            units = unit_group(length)
+            closures = {closure(length, gens) for gens in combinations_with_replacement(units, 3)}
+            for k in range(1, len(units) + 1):
+                got = [g.elements for g in subgroups_of_order(length, k)]
+                assert got == sorted(e for e in closures if len(e) == k), (length, k)
 
 
 class TestOrbitDecomposition:

@@ -237,7 +237,17 @@ class TestLoadRecordSets:
     def test_reads_every_record(self, plan_dir):
         [(plan, records)] = load_record_sets([plan_dir / "part-0000.rec"])
         assert plan == read_plan(plan_dir)
-        assert list(records) == read_records(plan_dir / "part-0000.rec")
+        assert list(records) == list(read_records(plan_dir / "part-0000.rec", plan))
+
+    def test_records_before_a_malformed_line_are_read(self, plan_dir):
+        # records are read lazily: the two ahead of a bad third line come out
+        path = plan_dir / "part-0000.rec"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + "7\n" + "".join(lines[2:]))
+        [(_, records)] = load_record_sets([path])
+        assert [next(records), next(records)] == [CandidateRecord.parse(line) for line in lines[:2]]
+        with pytest.raises(ValueError, match="malformed record"):
+            next(records)
 
     @pytest.mark.parametrize(
         "line",
@@ -293,7 +303,7 @@ class TestPlanPersistence:
         ckpt = part.with_suffix(".ckpt")
         assert int(ckpt.read_text()) == 299
         run_chunk(plan, 0, 700, part, checkpoint_every=50)
-        assert read_records(part) == read_records(full)
+        assert list(read_records(part, plan)) == list(read_records(full, plan))
 
     @pytest.mark.parametrize("torn", [b"", b"2999 5"], ids=["flushed", "torn-line"])
     def test_resume_after_fault_is_byte_identical(self, tmp_path, monkeypatch, torn):
