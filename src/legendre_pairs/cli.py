@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_flags.add_argument("--subgroup", required=True)
     search_flags.add_argument("--out", required=True)
     search_flags.add_argument("--workers", type=int, default=1)
-    search_flags.add_argument("--checkpoint-every", type=int, default=100_000)
+    search_flags.add_argument("--checkpoint-every", type=int, default=se.CHECKPOINT_EVERY)
 
     p = sub.add_parser("spectrum", help="admissible PSD value pairs at lag l/3")
     p.add_argument("l", type=int)

@@ -47,28 +47,9 @@ class Subgroup:
     def __iter__(self):
         return iter(self.elements)
 
-    @classmethod
-    def generated_by(cls, modulus: int, generators: Iterable[int]) -> "Subgroup":
-        elems = {1}
-        frontier = {g % modulus for g in generators}
-        while frontier:
-            elems |= frontier
-            frontier = {
-                (x * y) % modulus for x in elems for y in elems
-            } - elems
-        return cls(modulus, tuple(sorted(elems)))
-
 
 def unit_group(modulus: int) -> list[int]:
     return [x for x in range(1, modulus) if math.gcd(x, modulus) == 1]
-
-
-def element_order(x: int, modulus: int) -> int:
-    order, acc = 1, x % modulus
-    while acc != 1:
-        acc = (acc * x) % modulus
-        order += 1
-    return order
 
 
 def subgroups_of_order(modulus: int, k: int) -> list[Subgroup]:

@@ -25,6 +25,7 @@ from .nt import (
 )
 from .ranking import Composition
 from .search import (
+    CHECKPOINT_EVERY,
     CandidateRecord,
     MatchResult,
     SearchPlan,
@@ -107,14 +108,18 @@ class PipelineResult:
 
 
 def run_plan_workers(
-    plan: SearchPlan, directory: Path, workers: int = 1, checkpoint_every: int = 100_000
+    plan: SearchPlan, directory: Path, workers: int = 1, checkpoint_every: int = CHECKPOINT_EVERY
 ) -> list[SearchStats]:
-    """Run one plan's rank range split across workers, one record file each."""
+    """Run one plan's rank range split across workers, one record file each.
+    A directory whose plan.json holds another plan raises ValueError: its
+    records and checkpoints belong to that plan."""
     lo, hi = plan.resolved_range()
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if (directory / "plan.json").exists() and read_plan(directory) != plan:
+        raise ValueError(f"{directory} holds the records of another plan")
     write_plan(directory, plan)
     ranges = split_ranges(hi - lo, workers)
     jobs = [
@@ -155,7 +160,7 @@ def write_pairs(path: Path, matches: list[MatchResult]) -> None:
     def side(plan: SearchPlan, rank: int) -> tuple[list[int], str, str]:
         sel = ranking.rank_to_selection(rank, plan.decomposition(), plan.composition, plan.polarity)
         return (
-            sorted(sel.chosen),
+            list(sel.chosen),
             ranking.format_composition(plan.composition),
             ranking.format_polarity(plan.polarity),
         )
@@ -219,13 +224,15 @@ def run_pipeline(
     run_dir: Path,
     plans: list[SearchPlan],
     workers: int = 1,
-    checkpoint_every: int = 100_000,
+    checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> PipelineResult:
-    """Search every plan, then match, verify and write pairs.json."""
+    """Search every plan, then match the records of these plans alone,
+    verify and write pairs.json."""
     run_dir.mkdir(parents=True, exist_ok=True)
+    plan_dirs = [run_dir / f"plan-{i:03d}" for i in range(len(plans))]
     stats = []
-    for i, plan in enumerate(plans):
-        stats.extend(run_plan_workers(plan, run_dir / f"plan-{i:03d}", workers, checkpoint_every))
-    matches = match_candidates(load_record_sets(run_dir.glob("*/part-*.rec")))
+    for plan, plan_dir in zip(plans, plan_dirs):
+        stats.extend(run_plan_workers(plan, plan_dir, workers, checkpoint_every))
+    matches = match_candidates(load_record_sets(chain(*[d.glob("part-*.rec") for d in plan_dirs])))
     write_pairs(run_dir / "pairs.json", matches)
     return PipelineResult(stats, matches)

@@ -156,24 +156,13 @@ class OrbitSelection:
             )
 
 
-def decode_orbits(
-    decomp: OrbitDecomposition, chosen: Sequence[int], value: int
-) -> BinarySequence:
-    """Raw decoder: chosen orbits get ``value``, everything else the opposite.
-
-    No coverage validation; flipping ``value`` negates the result.
-    """
-    length = decomp.modulus
-    covered = {x for r in chosen for x in decomp.orbit_of_rep[r]}
-    entries = []
-    for position in range(1, length + 1):
-        entries.append(value if position % length in covered else -value)
-    return BinarySequence(tuple(entries))
-
-
 def decode_selection(sel: OrbitSelection) -> BinarySequence:
-    """Decode an orbit selection into a normalized {-1,+1} sequence."""
-    return decode_orbits(sel.decomp, sel.chosen, sel.polarity)
+    """Decode an orbit selection into a normalized {-1,+1} sequence: the
+    chosen orbits get the polarity, every other position the opposite."""
+    length = sel.decomp.modulus
+    covered = {x for r in sel.chosen for x in sel.decomp.orbit_of_rep[r]}
+    value = sel.polarity
+    return BinarySequence(tuple(value if i % length in covered else -value for i in range(1, length + 1)))
 
 
 def composition_orbits(decomp: OrbitDecomposition, comp: Composition) -> tuple[tuple[int, ...], ...]:
@@ -248,22 +237,6 @@ def lex_walk(
                 break
             chosen[first:end] = range(bottom, bottom + end - first)
         yield tuple(chosen)
-
-
-def selection_to_rank(sel: OrbitSelection, comp: Composition) -> int:
-    """Mixed-radix rank of an orbit selection; inverse of rank_to_selection."""
-    decomp = sel.decomp
-    chosen = set(sel.chosen)
-    rank = 0
-    for size, count in comp:
-        class_orbits = decomp.orbits_of_size(size)
-        indices = [i + 1 for i, orb in enumerate(class_orbits) if orb[0] in chosen]
-        if len(indices) != count:
-            raise ValueError(
-                f"selection has {len(indices)} size-{size} orbits, composition says {count}"
-            )
-        rank = rank * comb(len(class_orbits), count) + subset_rank(indices, len(class_orbits))
-    return rank
 
 
 def rank_to_sequence(

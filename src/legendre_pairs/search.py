@@ -243,13 +243,15 @@ def _stage1_verdicts(length: int, bound: float, allowed: frozenset[int] | None) 
 
 #: Ranks filtered together; a block also ends at every checkpoint.
 BLOCK_SIZE = 4096
+#: Default number of ranks between two checkpoints.
+CHECKPOINT_EVERY = 100_000
 
 
 def run_search(
     plan: SearchPlan,
     sink: Callable[[CandidateRecord], None],
     checkpoint: Callable[[int], None] | None = None,
-    checkpoint_every: int = 100_000,
+    checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> SearchStats:
     """Scan the plan's rank range, filter, and emit survivor records.
 
@@ -457,7 +459,7 @@ def run_chunk(
     lo: int,
     hi: int,
     record_path: Path,
-    checkpoint_every: int = 100_000,
+    checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> SearchStats:
     """Run one worker chunk, writing records and a resumable checkpoint.
 

@@ -57,22 +57,9 @@ class BinarySequence:
         return iter(self.entries)
 
     @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
     def normalized(self) -> bool:
         """True when the entry sum is +1 (the standard convention)."""
         return sum(self.entries) == 1
-
-    @classmethod
-    def from_pm_string(cls, text: str) -> "BinarySequence":
-        """Parse a ``+``/``-`` string such as ``"++-"``."""
-        table = {"+": 1, "-": -1}
-        try:
-            return cls(tuple(table[c] for c in text.strip()))
-        except KeyError as exc:
-            raise ValueError(f"invalid character in sequence string: {exc}") from None
 
     def pm_string(self) -> str:
         return "".join("+" if e == 1 else "-" for e in self.entries)

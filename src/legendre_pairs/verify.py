@@ -55,14 +55,12 @@ def pair_class_id(a: BinarySequence, b: BinarySequence) -> tuple[str, str]:
     return (ca, cb) if ca <= cb else (cb, ca)
 
 
-def verify_pair(
-    a: BinarySequence, b: BinarySequence, eps: float = EPS
-) -> LegendrePairResult | PairFailure:
+def verify_pair(a: BinarySequence, b: BinarySequence) -> LegendrePairResult | PairFailure:
     """Exact check that (a, b) is a normalized Legendre pair.
 
     Requires PAF(a,s) + PAF(b,s) = -2 for every lag 1..(l-1)/2 in integer
     arithmetic; on success also asserts the complementary PSD identity at
-    every such lag within eps.  A failure names the first failing lag.  The
+    every such lag within ``EPS``.  A failure names the first failing lag.  The
     PAF and PSD vectors, lag-l/3 values and canonical forms are computed once
     per sequence object (``BinarySequence.paf_half``, ``psd_half``,
     ``psd_third``, ``canonical``).
@@ -76,7 +74,7 @@ def verify_pair(
     (off,) = (sums != -2).nonzero()
     if off.size:
         return PairFailure(f"PAF sum {sums[off[0]]} != -2", lag=int(off[0]) + 1)
-    (off,) = (np.abs(a.psd_half + b.psd_half - (2 * length + 2)) > eps).nonzero()
+    (off,) = (np.abs(a.psd_half + b.psd_half - (2 * length + 2)) > EPS).nonzero()
     if off.size:
         return PairFailure("PSD complement identity violated", lag=int(off[0]) + 1)
     psd_third = (a.psd_third, b.psd_third) if length % 3 == 0 else None

@@ -4,18 +4,47 @@ per-lag reference verifiers for the test suite."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from legendre_pairs import sequences as sq
-from legendre_pairs.nt import Subgroup, orbit_decomposition
+from legendre_pairs.nt import OrbitDecomposition, Subgroup, orbit_decomposition
 from legendre_pairs.sequences import EPS, BinarySequence, cyclic_shift, revert
 from legendre_pairs.verify import LegendrePairResult, PairFailure
 from legendre_pairs.ranking import (
+    Composition,
+    OrbitSelection,
     decode_selection,
     indices_to_selection,
     parse_composition,
     rank_to_selection,
+    subset_rank,
 )
+
+
+def pm(text: str) -> BinarySequence:
+    """The sequence of a ``+``/``-`` string such as ``"++-"``."""
+    return BinarySequence(tuple({"+": 1, "-": -1}[c] for c in text))
+
+
+def decode_union(decomp: OrbitDecomposition, chosen: Sequence[int], value: int) -> BinarySequence:
+    """Unchecked reference decoder: the union of the chosen orbits, of any
+    coverage, gets ``value`` and every other position the opposite."""
+    covered = {x for r in chosen for x in decomp.orbit_of_rep[r]}
+    length = decomp.modulus
+    return BinarySequence(tuple(value if i % length in covered else -value for i in range(1, length + 1)))
+
+
+def selection_to_rank(sel: OrbitSelection, comp: Composition) -> int:
+    """Mixed-radix rank of an orbit selection; the inverse of rank_to_selection."""
+    chosen = set(sel.chosen)
+    rank = 0
+    for size, count in comp:
+        class_orbits = sel.decomp.orbits_of_size(size)
+        indices = [i + 1 for i, orb in enumerate(class_orbits) if orb[0] in chosen]
+        if len(indices) != count:
+            raise ValueError(f"selection has {len(indices)} size-{size} orbits, composition says {count}")
+        rank = rank * math.comb(len(class_orbits), count) + subset_rank(indices, len(class_orbits))
+    return rank
 
 
 def symmetry_images(a: BinarySequence) -> Iterator[BinarySequence]:

@@ -438,6 +438,42 @@ class TestPipelineCommand:
         assert code == 0 and "21 fingerprint matches; 21 verified pairs" in out
 
 
+def snapshot(root: Path) -> dict:
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestRerun:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["search", "--composition", "4x2"], ["search", "--composition", "2x1+3x2"]),
+            (["search", "--composition", "4x2"], ["search", "--composition", "4x2", "--range", "0:10"]),
+            (["pipeline"], ["pipeline", "--subgroup", "1"]),
+        ],
+        ids=["another-composition", "another-range", "pipeline-another-subgroup"],
+    )
+    def test_another_plan_exits_2_and_writes_nothing(self, capsys, tmp_path, first, second):
+        # the records and checkpoints of the first plan are no records of the second
+        out = tmp_path / "out"
+        common = ["--l", "15", "--subgroup", "1,4", "--out", str(out)]
+        assert main([first[0], *common, *first[1:]]) == 0
+        capsys.readouterr()
+        before = snapshot(out)
+        code, stdout, err = run(capsys, second[0], *common, *second[1:])
+        assert code == 2 and stdout == "" and "holds the records of another plan" in err
+        assert snapshot(out) == before
+
+    def test_pipeline_rerun_joins_only_its_own_plans(self, capsys, tmp_path):
+        assert main(["pipeline", "--l", "15", "--subgroup", "1", "--out", str(tmp_path / "r")]) == 0
+        assert main(["pipeline", "--l", "15", "--subgroup", "1", "--polarity", "plus",
+                     "--out", str(tmp_path / "fresh")]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "pipeline", "--l", "15", "--subgroup", "1", "--polarity", "plus",
+                           "--out", str(tmp_path / "r"))
+        assert code == 0 and "4221 verified pairs" in out
+        assert (tmp_path / "r" / "pairs.json").read_bytes() == (tmp_path / "fresh" / "pairs.json").read_bytes()
+
+
 def test_lp_eps_in_the_environment_is_ignored(tmp_path):
     # the float tolerance is a constant: a negative one would reject every pair
     env = dict(os.environ, LP_EPS="-1")

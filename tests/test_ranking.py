@@ -10,7 +10,6 @@ from legendre_pairs.ranking import (
     composition_counts,
     coverage,
     coverage_target,
-    decode_orbits,
     decode_selection,
     format_composition,
     format_polarity,
@@ -19,7 +18,6 @@ from legendre_pairs.ranking import (
     parse_polarity,
     rank_to_selection,
     rank_to_sequence,
-    selection_to_rank,
     space_size,
     subset_rank,
     subset_unrank,
@@ -27,7 +25,7 @@ from legendre_pairs.ranking import (
 )
 
 import known_pairs as kp
-from helpers import decomp_for
+from helpers import decode_union, decomp_for, selection_to_rank
 
 
 class TestSubsetRanking:
@@ -136,8 +134,8 @@ class TestSelection:
         # flipping the polarity of the raw decoder negates the sequence
         decomp = decomp_for(117, kp.SUBGROUP_117)
         chosen = tuple(sorted(kp.PAIRS_117[0][0]))
-        plus = decode_orbits(decomp, chosen, 1)
-        minus = decode_orbits(decomp, chosen, -1)
+        plus = decode_union(decomp, chosen, 1)
+        minus = decode_union(decomp, chosen, -1)
         assert minus.entries == tuple(-e for e in plus.entries)
 
     def test_decoded_positions(self):

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from legendre_pairs import ranking, search
-from legendre_pairs.nt import Subgroup, orbit_decomposition, representative_lags
+from legendre_pairs.nt import Subgroup, orbit_decomposition, representative_lags, subgroups_of_order, unit_group
 from legendre_pairs.oracle import brute_force_pairs
 from legendre_pairs.pipeline import build_plans, load_record_sets, run_pipeline, third_psd_filter
 from legendre_pairs.search import (
@@ -25,7 +25,7 @@ from legendre_pairs.search import (
 )
 
 import known_pairs as kp
-from helpers import decode_indices, decomp_for
+from helpers import decode_indices, decomp_for, selection_to_rank
 
 
 def collect(plan: SearchPlan):
@@ -98,15 +98,23 @@ class TestRepresentativeLags:
         assert covered == set(range(1, half + 1))
 
 
+def _oracle_cases():
+    """Every subgroup of the units mod every odd l <= 17: 36 cases.  The ids
+    at l = 15 name the subgroup alone."""
+    for length in range(3, 18, 2):
+        for order in range(1, len(unit_group(length)) + 1):
+            for sub in subgroups_of_order(length, order):
+                name = "H" + "-".join(map(str, sub.elements))
+                yield pytest.param(length, sub.elements, id=name if length == 15 else f"l{length}-{name}")
+
+
 class TestRunSearch:
-    @pytest.mark.parametrize(
-        "elements", [(1,), (1, 11), (1, 2, 4, 8)], ids=["H1", "H1-11", "H1-2-4-8"]
-    )
-    def test_small_space_finds_oracle_pairs(self, elements):
-        # l = 15: search both polarities and match.  Elements = 2 (mod 3) mix
-        # residue classes within an orbit, which stage 1 must account for.
-        sub = Subgroup(15, elements)
-        plans = build_plans(15, sub)
+    @pytest.mark.parametrize("length,elements", list(_oracle_cases()))
+    def test_small_space_finds_oracle_pairs(self, length, elements):
+        # search both polarities and match.  At l = 15, elements = 2 (mod 3)
+        # mix residue classes within an orbit, which stage 1 must account for.
+        sub = Subgroup(length, elements)
+        plans = build_plans(length, sub)
         record_sets = []
         for plan in plans:
             records, _ = collect(plan)
@@ -117,7 +125,7 @@ class TestRunSearch:
             for m in matches
             if m.verified
         }
-        assert found == brute_force_pairs(15, sub)
+        assert found == brute_force_pairs(length, sub)
 
     def test_stage1_annihilates_on_empty_filter(self):
         plan = SearchPlan(
@@ -381,7 +389,7 @@ def _published_rank_pairs(length: int) -> tuple[tuple[int, ...], str, int, list[
         comp = ranking.parse_composition(kp.COMPOSITION_129)
         ranks = [
             tuple(
-                ranking.selection_to_rank(ranking.indices_to_selection(decomp, sorted(s), 1), comp)
+                selection_to_rank(ranking.indices_to_selection(decomp, sorted(s), 1), comp)
                 for s in pair
             )
             for pair in kp.PAIRS_129

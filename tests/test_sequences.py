@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legendre_pairs.nt import Subgroup, orbit_decomposition
-from legendre_pairs.ranking import decode_orbits
 from legendre_pairs.sequences import (
     EPS,
     BinarySequence,
@@ -25,7 +24,7 @@ from legendre_pairs.sequences import (
     revert,
 )
 
-from helpers import symmetry_images
+from helpers import decode_union, pm, symmetry_images
 
 
 def random_pm(rng: random.Random, length: int) -> BinarySequence:
@@ -54,15 +53,15 @@ class TestBinarySequence:
             BinarySequence((1, 0, -1))
 
     def test_pm_string_round_trip(self):
-        s = BinarySequence.from_pm_string("++-+-")
+        s = pm("++-+-")
         assert s.entries == (1, 1, -1, 1, -1)
         assert s.pm_string() == "++-+-"
 
     def test_plus_residues_round_trip(self):
         # the decoder marks the chosen residues, and residue 0 takes the other sign
-        s = BinarySequence.from_pm_string("++--+-+")
+        s = pm("++--+-+")
         decomp = orbit_decomposition(7, Subgroup(7, (1,)))
-        rebuilt = decode_orbits(decomp, sorted(set(range(1, 7)) - s.plus_residues()), -1)
+        rebuilt = decode_union(decomp, sorted(set(range(1, 7)) - s.plus_residues()), -1)
         assert rebuilt == s
 
     def test_position_l_is_residue_zero(self):
@@ -128,7 +127,7 @@ class TestDftPsd:
             assert abs(psd(a, s) - expect) < l * EPS
 
     def test_deterministic_repetition(self):
-        a = BinarySequence.from_pm_string("++-+--+")
+        a = pm("++-+--+")
         assert psd(a, 3) == psd(a, 3)
 
 
@@ -174,21 +173,21 @@ class TestThirdLagExact:
 
 class TestSymmetries:
     def test_shift_moves_plus_positions(self):
-        a = BinarySequence.from_pm_string("+++-+--")
+        a = pm("+++-+--")
         assert a.plus_residues() == frozenset({1, 2, 3, 5})
         shifted = cyclic_shift(a, 2)
         assert shifted.plus_residues() == frozenset({3, 4, 5, 0})
 
     def test_revert_is_involution(self):
-        a = BinarySequence.from_pm_string("++-+--+")
+        a = pm("++-+--+")
         assert revert(revert(a)) == a
 
     def test_symmetry_images_count(self):
-        a = BinarySequence.from_pm_string("++-+--+")
+        a = pm("++-+--+")
         assert len(list(symmetry_images(a))) == 2 * len(a)
 
     def test_apply_symmetry_matches_composition(self):
-        a = BinarySequence.from_pm_string("++-+--+")
+        a = pm("++-+--+")
         assert apply_symmetry(a, 3, True) == revert(cyclic_shift(a, 3))
 
 
