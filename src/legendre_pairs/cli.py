@@ -117,7 +117,7 @@ def cmd_search(args) -> int:
         lo, _, hi = args.range.partition(":")
         plan = replace(plan, rank_range=(int(lo), int(hi)))
     out_dir = Path(args.out)
-    stats = pipeline.run_plan_workers(plan, out_dir, args.workers, args.checkpoint_every)
+    stats = pipeline.run_plan_workers(plan, out_dir, args.workers)
     scanned = sum(s.scanned for s in stats)
     s1 = sum(s.stage1_survivors for s in stats)
     s2 = sum(s.stage2_survivors for s in stats)
@@ -190,7 +190,7 @@ def cmd_pipeline(args) -> int:
     plans = pipeline.build_plans(args.l, sub, comps, polarities)
     if not plans:
         raise ValueError("no plans match the requested compositions and polarities")
-    result = pipeline.run_pipeline(Path(args.out), plans, args.workers, args.checkpoint_every)
+    result = pipeline.run_pipeline(Path(args.out), plans, args.workers)
     scanned = sum(s.scanned for s in result.stats)
     print(f"{len(plans)} plans, {scanned} ranks scanned")
     print(f"{len(result.pairs)} verified pairs; {result.false_candidates} false candidates")
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_flags.add_argument("--subgroup", required=True)
     search_flags.add_argument("--out", required=True)
     search_flags.add_argument("--workers", type=int, default=1)
-    search_flags.add_argument("--checkpoint-every", type=int, default=se.CHECKPOINT_EVERY)
 
     p = sub.add_parser("spectrum", help="admissible PSD value pairs at lag l/3")
     p.add_argument("l", type=int)

@@ -134,28 +134,15 @@ class OrbitDecomposition:
 
 
 def representative_lags(decomp: OrbitDecomposition) -> list[int]:
-    """One lag per orbit of <H, -1> acting on 1..(l-1)/2.
+    """One lag per orbit of <H, -1> acting on 1..(l-1)/2: the smallest
+    element of each nonzero orbit of H u -H, which is at most (l-1)/2.
 
     PSD is constant on these classes for orbit-closed sequences, so the
     bound test only needs the representatives.
     """
     length = decomp.modulus
-    half = (length - 1) // 2
-    seen = set()
-    reps = []
-    for k in range(1, half + 1):
-        if k in seen:
-            continue
-        orbit = set()
-        frontier = {k, length - k}
-        while frontier:
-            orbit |= frontier
-            frontier = {
-                (h * x) % length for h in decomp.subgroup for x in orbit
-            } - orbit
-        reps.append(k)
-        seen |= {x if x <= half else length - x for x in orbit}
-    return reps
+    signed = Subgroup(length, tuple({x for h in decomp.subgroup for x in (h, length - h)}))
+    return [orb[0] for orb in orbit_decomposition(length, signed).nonzero_orbits]
 
 
 @lru_cache(maxsize=256)
@@ -226,20 +213,15 @@ class SpectrumEntry:
 def spectrum_candidates(length: int) -> list[SpectrumEntry]:
     """All candidate PSD value pairs at lag l/3, each with its verdict.
 
-    Candidates are [12s+4, 2l+2-(12s+4)] for ascending s, canonicalized so
-    the smaller value comes first, each unordered pair reported once.
+    Candidates are the pairs (a, 2l+2-a) with a = 4 (mod 12) and a <= l+1,
+    for ascending a: the smaller value comes first, and each unordered pair
+    is reported once.
     """
     if length % 2 == 0 or length % 3 != 0:
         raise ValueError(f"length must be odd and divisible by 3, got {length}")
     rows = []
-    seen = set()
-    for s in range(0, (length - 1) // 6 + 1):
-        a_hat = 12 * s + 4
-        b_hat = 2 * length + 2 - a_hat
-        pair = (min(a_hat, b_hat), max(a_hat, b_hat))
-        if pair in seen:
-            continue
-        seen.add(pair)
+    for a in range(4, length + 2, 12):
+        pair = (a, 2 * length + 2 - a)
         sq_a = (2 * pair[0] + 1) // 3
         sq_b = (2 * pair[1] + 1) // 3
         triples_a = tuple(three_squares_all_odd(sq_a))
@@ -255,7 +237,6 @@ def spectrum_candidates(length: int) -> list[SpectrumEntry]:
         rows.append(
             SpectrumEntry(pair, sq_a, sq_b, triples_a, triples_b, wit_a, wit_b, admissible, reason)
         )
-    rows.sort(key=lambda r: r.psd_pair)
     return rows
 
 

@@ -25,7 +25,6 @@ from .nt import (
 )
 from .ranking import Composition
 from .search import (
-    CHECKPOINT_EVERY,
     CandidateRecord,
     MatchResult,
     SearchPlan,
@@ -107,32 +106,31 @@ class PipelineResult:
         return sum(1 for m in self.matches if not m.verified)
 
 
-def run_plan_workers(
-    plan: SearchPlan, directory: Path, workers: int = 1, checkpoint_every: int = CHECKPOINT_EVERY
-) -> list[SearchStats]:
-    """Run one plan's rank range split across workers, one record file each.
-    A directory whose plan.json holds another plan raises ValueError: its
-    records and checkpoints belong to that plan."""
-    lo, hi = plan.resolved_range()
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+def run_plan_workers(plan: SearchPlan, directory: Path, workers: int = 1) -> list[SearchStats]:
+    """Run one plan's rank range split into parts, one record file each, on at
+    most ``workers`` processes.  A fresh directory gets ``workers`` parts; a
+    rerun keeps the number of part files the directory holds, so it resumes
+    their checkpoints.  A directory whose plan.json holds another plan raises
+    ValueError: its records and checkpoints belong to that plan."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if (directory / "plan.json").exists() and read_plan(directory) != plan:
         raise ValueError(f"{directory} holds the records of another plan")
     write_plan(directory, plan)
-    ranges = split_ranges(hi - lo, workers)
+    lo, hi = plan.resolved_range()
+    parts = len(list(directory.glob("part-*.rec"))) or workers
     jobs = [
         (plan, lo + rlo, lo + rhi, directory / f"part-{i:04d}.rec")
-        for i, (rlo, rhi) in enumerate(ranges)
+        for i, (rlo, rhi) in enumerate(split_ranges(hi - lo, parts))
     ]
-    if workers == 1 or len(jobs) <= 1:
-        return [run_chunk(p, a, b, path, checkpoint_every) for p, a, b, path in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk, p, a, b, path, checkpoint_every)
-            for p, a, b, path in jobs
-        ]
+    # every part file exists before any chunk runs, so a rerun sees the split
+    for *_, path in jobs:
+        path.touch()
+    pool_size = min(workers, len(jobs))
+    if pool_size <= 1:
+        return [run_chunk(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        futures = [pool.submit(run_chunk, *job) for job in jobs]
         return [f.result() for f in futures]
 
 
@@ -220,19 +218,14 @@ def read_pairs(path: Path) -> list[tuple[BinarySequence, BinarySequence]]:
     return pairs
 
 
-def run_pipeline(
-    run_dir: Path,
-    plans: list[SearchPlan],
-    workers: int = 1,
-    checkpoint_every: int = CHECKPOINT_EVERY,
-) -> PipelineResult:
+def run_pipeline(run_dir: Path, plans: list[SearchPlan], workers: int = 1) -> PipelineResult:
     """Search every plan, then match the records of these plans alone,
     verify and write pairs.json."""
     run_dir.mkdir(parents=True, exist_ok=True)
     plan_dirs = [run_dir / f"plan-{i:03d}" for i in range(len(plans))]
     stats = []
     for plan, plan_dir in zip(plans, plan_dirs):
-        stats.extend(run_plan_workers(plan, plan_dir, workers, checkpoint_every))
+        stats.extend(run_plan_workers(plan, plan_dir, workers))
     matches = match_candidates(load_record_sets(chain(*[d.glob("part-*.rec") for d in plan_dirs])))
     write_pairs(run_dir / "pairs.json", matches)
     return PipelineResult(stats, matches)

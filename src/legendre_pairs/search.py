@@ -243,7 +243,7 @@ def _stage1_verdicts(length: int, bound: float, allowed: frozenset[int] | None) 
 
 #: Ranks filtered together; a block also ends at every checkpoint.
 BLOCK_SIZE = 4096
-#: Default number of ranks between two checkpoints.
+#: Ranks between two checkpoints.
 CHECKPOINT_EVERY = 100_000
 
 
@@ -251,16 +251,14 @@ def run_search(
     plan: SearchPlan,
     sink: Callable[[CandidateRecord], None],
     checkpoint: Callable[[int], None] | None = None,
-    checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> SearchStats:
     """Scan the plan's rank range, filter, and emit survivor records.
 
     Deterministic: identical plans produce an identical record stream.
-    ``checkpoint`` (if given) receives the last completed rank at regular
-    intervals and once at the end.
+    ``checkpoint`` (if given) receives the last completed rank after every
+    ``CHECKPOINT_EVERY`` ranks and once at the end.
     """
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    every = CHECKPOINT_EVERY
     decomp = plan.decomposition()
     lo, hi = plan.resolved_range()
     stats = SearchStats()
@@ -278,7 +276,7 @@ def run_search(
     verdicts = _stage1_verdicts(plan.length, bound, allowed) if mod3 else None
     rank = lo
     while rank < hi:
-        count = min(hi - rank, BLOCK_SIZE, checkpoint_every - stats.scanned % checkpoint_every)
+        count = min(hi - rank, BLOCK_SIZE, every - stats.scanned % every)
         chosen = np.array(list(ranking.lex_walk(rank, count, decomp, plan.composition)))
         if mod3:
             # stage 1: the verdict on the exact lag-l/3 value
@@ -296,7 +294,7 @@ def run_search(
             sink(CandidateRecord(rank + offset, *_fingerprint_digits(plan.length, values)))
         rank += count
         stats.scanned += count
-        if checkpoint and (stats.scanned % checkpoint_every == 0 or rank == hi):
+        if checkpoint and (stats.scanned % every == 0 or rank == hi):
             checkpoint(rank - 1)
     return stats
 
@@ -454,13 +452,7 @@ def _drop_records_after(path: Path, last: int) -> None:
         f.truncate(keep)
 
 
-def run_chunk(
-    plan: SearchPlan,
-    lo: int,
-    hi: int,
-    record_path: Path,
-    checkpoint_every: int = CHECKPOINT_EVERY,
-) -> SearchStats:
+def run_chunk(plan: SearchPlan, lo: int, hi: int, record_path: Path) -> SearchStats:
     """Run one worker chunk, writing records and a resumable checkpoint.
 
     If a checkpoint sidecar exists, the record file is cut back to the
@@ -489,4 +481,4 @@ def run_chunk(
             tmp.write_text(f"{rank}\n")
             os.replace(tmp, ckpt)
 
-        return run_search(chunk_plan, sink, checkpoint, checkpoint_every)
+        return run_search(chunk_plan, sink, checkpoint)

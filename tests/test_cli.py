@@ -51,7 +51,6 @@ CLI_SURFACE = {
         (("--range",), "range", False, None, None, None),
         (("--out",), "out", True, None, None, None),
         (("--workers",), "workers", False, 1, None, None),
-        (("--checkpoint-every",), "checkpoint_every", False, 100_000, None, None),
     },
     "match": {
         (("--l",), "l", True, None, None, None),
@@ -73,7 +72,6 @@ CLI_SURFACE = {
         (("--polarity",), "polarity", False, "both", ("plus", "minus", "both"), None),
         (("--out",), "out", True, None, None, None),
         (("--workers",), "workers", False, 1, None, None),
-        (("--checkpoint-every",), "checkpoint_every", False, 100_000, None, None),
     },
     "oracle": {
         (("--l",), "l", True, None, None, None),
@@ -94,7 +92,7 @@ def test_cli_surface_is_unchanged():
         for name, parser in subparsers.choices.items()
     }
     assert surface == CLI_SURFACE
-    assert sum(1 for actions in surface.values() for opts, *_ in actions if opts) == 35
+    assert sum(1 for actions in surface.values() for opts, *_ in actions if opts) == 33
 
 
 def run(capsys, *argv):
@@ -245,16 +243,14 @@ class TestSearchFailures:
             # a "plus" sequence of length 13 marks 7 positions, not 6
             (["--composition", "6x1"], "6x1"),
             (["--composition", "7x1", "--range", "0:1000"], "outside space [0, 792)"),
-            (["--composition", "7x1", "--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
-            (["--composition", "7x1", "--checkpoint-every", "-3"], "checkpoint_every must be >= 1"),
             (["--composition", "7x1", "--workers", "0"], "workers must be >= 1"),
             # 14 acts as 1 mod 13, but is not a residue
             (["--composition", "7x1", "--subgroup", "1,14"], "element 14 outside 1..12"),
             (["--l", "16", "--composition", "8x1"], "length must be an odd integer, got 16"),
         ],
         ids=[
-            "wrong-coverage", "range-outside-space", "checkpoint-every-0", "checkpoint-every-negative",
-            "workers-0", "subgroup-element-outside-residues", "even-length",
+            "wrong-coverage", "range-outside-space", "workers-0", "subgroup-element-outside-residues",
+            "even-length",
         ],
     )
     def test_bad_plan_exits_2_before_plan_is_written(self, capsys, tmp_path, args, message):
@@ -472,6 +468,34 @@ class TestRerun:
                            "--out", str(tmp_path / "r"))
         assert code == 0 and "4221 verified pairs" in out
         assert (tmp_path / "r" / "pairs.json").read_bytes() == (tmp_path / "fresh" / "pairs.json").read_bytes()
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (3, 1)])
+    def test_search_rerun_with_other_workers_keeps_the_parts(self, capsys, tmp_path, first, second):
+        # the directory keeps the split of its first run; --workers sets only the pool size
+        def search(out: Path, workers: int) -> str:
+            code, stdout, _ = run(capsys, "search", "--l", "15", "--subgroup", "1", "--composition", "8x1",
+                                  "--out", str(out), "--workers", str(workers))
+            assert code == 0
+            return stdout
+
+        search(tmp_path / "fresh", 1)
+        search(tmp_path / "out", first)
+        assert search(tmp_path / "out", second).startswith("scanned 0 ranks;")
+        parts = sorted((tmp_path / "out").glob("part-*.rec"))
+        joined = b"".join(path.read_bytes() for path in parts)
+        assert len(parts) == first
+        assert joined == (tmp_path / "fresh" / "part-0000.rec").read_bytes()
+        lines = joined.splitlines()
+        assert len(lines) == len(set(lines)) == 686
+
+    def test_pipeline_rerun_with_other_workers_scans_nothing(self, capsys, tmp_path):
+        argv = ["pipeline", "--l", "15", "--subgroup", "1,4", "--out", str(tmp_path / "r")]
+        code, first, _ = run(capsys, *argv)
+        pairs = (tmp_path / "r" / "pairs.json").read_bytes()
+        code_again, again, _ = run(capsys, *argv, "--workers", "2")
+        assert code == code_again == 0 and "75 ranks scanned" in first
+        assert again == first.replace("75 ranks scanned", "0 ranks scanned")
+        assert (tmp_path / "r" / "pairs.json").read_bytes() == pairs
 
 
 def test_lp_eps_in_the_environment_is_ignored(tmp_path):

@@ -89,8 +89,9 @@ def reference_search(plan) -> tuple[list[CandidateRecord], SearchStats]:
 @given(plan=windows(), block=st.integers(1, 64), checkpoint_every=st.integers(1, 100))
 def test_kernel_equals_reference(plan, block, checkpoint_every):
     records, log = [], []
-    with mock.patch.object(search, "BLOCK_SIZE", block):
-        stats = run_search(plan, records.append, log.append, checkpoint_every)
+    with mock.patch.object(search, "BLOCK_SIZE", block), \
+            mock.patch.object(search, "CHECKPOINT_EVERY", checkpoint_every):
+        stats = run_search(plan, records.append, log.append)
     assert (records, stats) == reference_search(plan)
     lo, hi = plan.resolved_range()
     if plan.allowed_third_psd == frozenset():

@@ -10,6 +10,7 @@ from legendre_pairs.nt import (
     admissible_psd_pairs,
     orbit_decomposition,
     orbit_psd_values,
+    representative_lags,
     signed_assignments,
     spectrum_candidates,
     spectrum_mod3,
@@ -152,6 +153,19 @@ class TestOrbitDecomposition:
         decomp = orbit_decomposition(147, Subgroup(147, kp.SUBGROUP_147))
         assert (49,) in decomp.orbits and (98,) in decomp.orbits
         assert decomp.size_counts == {1: 2, 3: 48}
+
+
+@pytest.mark.parametrize(
+    "length, subgroup",
+    [(13, (1,)), (13, (1, 12)), (13, (1, 3, 9)), (15, (1, 4)), (21, (1, 8)), (117, (1, 16, 22)), (147, (1, 67, 79))],
+)
+def test_representative_lags_are_the_smallest_of_each_lag_class(length, subgroup):
+    # the class of lag k is {+-h k mod l}, folded into 1..(l-1)/2
+    half = (length - 1) // 2
+    expected = sorted({
+        min(min(h * k % length, length - h * k % length) for h in subgroup) for k in range(1, half + 1)
+    })
+    assert representative_lags(orbit_decomposition(length, Subgroup(length, subgroup))) == expected
 
 
 class TestMultiplier:

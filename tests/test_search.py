@@ -2,13 +2,14 @@
 
 import hashlib
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from legendre_pairs import ranking, search
+from legendre_pairs import pipeline, ranking, search
 from legendre_pairs.nt import Subgroup, orbit_decomposition, representative_lags, subgroups_of_order, unit_group
 from legendre_pairs.oracle import brute_force_pairs
-from legendre_pairs.pipeline import build_plans, load_record_sets, run_pipeline, third_psd_filter
+from legendre_pairs.pipeline import build_plans, load_record_sets, run_pipeline, run_plan_workers, third_psd_filter
 from legendre_pairs.search import (
     CandidateRecord,
     SearchPlan,
@@ -175,16 +176,6 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="covers 5 positions, need 4"):
             SearchPlan(9, (1,), ((1, 5),), -1, rank_range=(0, 10))
 
-    @pytest.mark.parametrize("every", [0, -3])
-    def test_checkpoint_every_below_1_rejected(self, tmp_path, every):
-        # 0 used to divide by zero, -3 to ask the walk for rank -3
-        plan = build_plans(13, Subgroup(13, (1,)))[0]
-        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
-            run_search(plan, lambda rec: None, None, every)
-        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
-            run_chunk(plan, 0, 50, tmp_path / "part-0000.rec", every)
-        assert not (tmp_path / "part-0000.ckpt").exists()
-
     def test_invalid_range(self):
         with pytest.raises(ValueError, match=r"outside space \[0, 56\)"):
             SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 10**9))
@@ -276,6 +267,18 @@ class TestLoadRecordSets:
             list(records)
 
 
+def failing_record(n: int):
+    """A stand-in for ``CandidateRecord`` that raises at its n-th record."""
+    calls = itertools.count(1)
+
+    def record(*args):
+        if next(calls) == n:
+            raise RuntimeError("injected fault")
+        return CandidateRecord(*args)
+
+    return record
+
+
 class TestPlanPersistence:
     def test_plan_polarity_is_strict(self):
         data = SearchPlan(9, (1,), ((1, 5),), 1).to_dict()
@@ -301,16 +304,17 @@ class TestPlanPersistence:
         write_plan(tmp_path, plan)
         assert read_plan(tmp_path) == plan
 
-    def test_checkpoint_resume(self, tmp_path):
+    def test_checkpoint_resume(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY", 50)
         plan = SearchPlan(13, (1,), ((1, 7),), 1)
         full = tmp_path / "full.rec"
-        run_chunk(plan, 0, 700, full, checkpoint_every=50)
+        run_chunk(plan, 0, 700, full)
         # interrupted run: first 300 ranks, then resume to 700
         part = tmp_path / "part.rec"
-        run_chunk(plan, 0, 300, part.with_name("part.rec"), checkpoint_every=50)
+        run_chunk(plan, 0, 300, part.with_name("part.rec"))
         ckpt = part.with_suffix(".ckpt")
         assert int(ckpt.read_text()) == 299
-        run_chunk(plan, 0, 700, part, checkpoint_every=50)
+        run_chunk(plan, 0, 700, part)
         assert list(read_records(part, plan)) == list(read_records(full, plan))
 
     @pytest.mark.parametrize("torn", [b"", b"2999 5"], ids=["flushed", "torn-line"])
@@ -318,26 +322,20 @@ class TestPlanPersistence:
         # The search raises at the 250th survivor, between the checkpoints at
         # ranks 999 and 1499; close() flushes the records after rank 999.  A
         # hard kill can also leave a torn last line.  Resuming must drop both.
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY", 500)
         plan = build_plans(15, Subgroup(15, (1,)), polarities=(1,))[0]
         hi = plan.space_size()
         full = tmp_path / "full.rec"
-        run_chunk(plan, 0, hi, full, checkpoint_every=500)
+        run_chunk(plan, 0, hi, full)
         part = tmp_path / "part.rec"
-        calls = itertools.count(1)
-
-        def failing_record(*args):
-            if next(calls) == 250:
-                raise RuntimeError("injected fault")
-            return CandidateRecord(*args)
-
         with monkeypatch.context() as m:
-            m.setattr(search, "CandidateRecord", failing_record)
+            m.setattr(search, "CandidateRecord", failing_record(250))
             with pytest.raises(RuntimeError, match="injected fault"):
-                run_chunk(plan, 0, hi, part, checkpoint_every=500)
+                run_chunk(plan, 0, hi, part)
         assert int(part.with_suffix(".ckpt").read_text()) == 999
         with open(part, "ab") as f:
             f.write(torn)
-        run_chunk(plan, 0, hi, part, checkpoint_every=500)
+        run_chunk(plan, 0, hi, part)
         assert part.read_bytes() == full.read_bytes()
 
     def test_resume_noop_when_complete(self, tmp_path):
@@ -368,6 +366,29 @@ class TestPipeline:
         pairs1 = {frozenset((p.a.entries, p.b.entries)) for p in r1.pairs}
         pairs2 = {frozenset((p.a.entries, p.b.entries)) for p in r2.pairs}
         assert pairs1 == pairs2
+
+    @pytest.mark.parametrize("first, resume, checkpoint", [(1, 2, 2099), (3, 1, 2101)])
+    def test_resume_after_fault_with_other_workers(self, tmp_path, monkeypatch, first, resume, checkpoint):
+        # The search raises at the 500th survivor, rank 2176: with one part,
+        # past where a 2-way split would begin its second part; with three,
+        # inside the third, which starts at rank 2002.  The resume keeps the
+        # directory's parts whatever its workers.
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY", 100)
+        plan = build_plans(15, Subgroup(15, (1,)), polarities=(1,))[0]
+        run_plan_workers(plan, tmp_path / "fresh")
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(search, "CandidateRecord", failing_record(500))
+            # the parts run one after another in this process, where the fault is
+            m.setattr(pipeline, "ProcessPoolExecutor", lambda max_workers: ThreadPoolExecutor(1))
+            with pytest.raises(RuntimeError, match="injected fault"):
+                run_plan_workers(plan, out, first)
+        assert int((out / f"part-{first - 1:04d}.ckpt").read_text()) == checkpoint
+        run_plan_workers(plan, out, resume)
+        parts = sorted(out.glob("part-*.rec"))
+        assert len(parts) == first
+        joined = b"".join(path.read_bytes() for path in parts)
+        assert joined == (tmp_path / "fresh" / "part-0000.rec").read_bytes()
 
 
 #: sha256 of pairs.json from the full l = 15, H = {1} sweep
