@@ -1,5 +1,5 @@
 """Streaming union-of-orbits search with the two-stage PSD filter, hex
-fingerprint records, and sort-merge candidate matching.
+fingerprint records, and a bucketed join of candidates on their fingerprints.
 
 A candidate is a union of orbits, and for s != 0 (mod l) its DFT is
 2 * polarity * (sum over the chosen orbits O of the Gauss period
@@ -14,13 +14,12 @@ Legendre pair appears as two records whose fingerprints match crosswise.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import os
-import pickle
 import re
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import groupby
@@ -328,63 +327,47 @@ class MatchResult:
         return self.pair is not None
 
 
-#: Tuples held in memory by one run of ``_external_sort`` before it spills.
-SORT_CHUNK_SIZE = 1_000_000
-#: Tuples per pickled block of a spill file.
-SPILL_BLOCK_SIZE = 4096
-
-
-def _external_sort(items: Iterable[tuple]) -> Iterator[tuple]:
-    """Sort tuples, spilling sorted chunks to disk as pickled blocks."""
-    chunk: list[tuple] = []
-    spill_files = []
+def _sorted_entries(
+    record_sets: Sequence[tuple[SearchPlan, Iterable[CandidateRecord]]],
+) -> Iterator[tuple[str, int, int, int]]:
+    """Both sides of every record as sorted ``(fp, side, plan index, rank)``
+    tuples, fp1 tagged 0 and fp2 tagged 1.  One pass writes them to temporary
+    files by the fingerprint's leading byte; then each bucket in turn is
+    sorted in memory.  Fingerprints of one width make prefix order the
+    fingerprint order, so memory holds one bucket."""
+    buckets = defaultdict(lambda: tempfile.TemporaryFile("w+"))
     try:
-        for item in items:
-            chunk.append(item)
-            if len(chunk) >= SORT_CHUNK_SIZE:
-                chunk.sort()
-                f = tempfile.TemporaryFile()
-                for i in range(0, len(chunk), SPILL_BLOCK_SIZE):
-                    pickle.dump(chunk[i : i + SPILL_BLOCK_SIZE], f, pickle.HIGHEST_PROTOCOL)
+        for pi, (_, records) in enumerate(record_sets):
+            for rec in records:
+                for side, fp in enumerate((rec.fp1, rec.fp2)):
+                    buckets[fp[:2]].write(f"{fp} {side} {pi} {rec.rank}\n")
+        for prefix in sorted(buckets):
+            with buckets[prefix] as f:
                 f.seek(0)
-                spill_files.append(f)
-                chunk = []
-        chunk.sort()
-
-        def unpickled(f) -> Iterator[tuple]:
-            while True:
-                try:
-                    yield from pickle.load(f)
-                except EOFError:
-                    return
-
-        yield from heapq.merge(*map(unpickled, spill_files), iter(chunk))
+                # split on " ": at l = 3 the fingerprints are empty
+                rows = (line.split(" ") for line in f)
+                entries = sorted((fp, int(side), int(pi), int(rank)) for fp, side, pi, rank in rows)
+            yield from entries
     finally:
-        for f in spill_files:
+        for f in buckets.values():
             f.close()
 
 
 def match_candidates(
     record_sets: Sequence[tuple[SearchPlan, Iterable[CandidateRecord]]],
 ) -> list[MatchResult]:
-    """Sort-merge join of records on fp1(x) = fp2(y), with exact re-verification.
+    """Bucketed join of records on fp1(x) = fp2(y), with exact re-verification.
 
     All record sets must come from plans of the same length (hence the same
-    fingerprint lag set).  One sort orders both sides, fp1 tagged 0 before
-    fp2 tagged 1.  Each unordered candidate pair is reported once; hash
-    collisions that fail the exact PAF check are kept unverified.
+    fingerprint width).  Each fingerprint group of ``_sorted_entries`` pairs
+    its fp1 side with its fp2 side.  Each unordered candidate pair is
+    reported once; hash collisions that fail the exact PAF check are kept
+    unverified.
     """
     lengths = {plan.length for plan, _ in record_sets}
     if len(lengths) > 1:
         raise ValueError(f"record sets mix lengths {sorted(lengths)}")
     plans = [plan for plan, _ in record_sets]
-
-    def tagged() -> Iterator[tuple[str, int, int, int]]:
-        for pi, (_, records) in enumerate(record_sets):
-            for rec in records:
-                yield (rec.fp1, 0, pi, rec.rank)
-                yield (rec.fp2, 1, pi, rec.rank)
-
     results = []
     seen = set()
 
@@ -392,7 +375,7 @@ def match_candidates(
     def decode(pi: int, rank: int) -> BinarySequence:
         return plans[pi].decode(rank)
 
-    for _, group in groupby(_external_sort(tagged()), key=itemgetter(0)):
+    for _, group in groupby(_sorted_entries(record_sets), key=itemgetter(0)):
         sides: tuple[list, list] = ([], [])
         for _, side, pi, rank in group:
             sides[side].append((pi, rank))
@@ -423,18 +406,23 @@ def read_plan(directory: Path) -> SearchPlan:
     return SearchPlan.from_dict(json.loads((directory / "plan.json").read_text()))
 
 
+def _parse_record(path: Path, line: str) -> CandidateRecord:
+    try:
+        return CandidateRecord.parse(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_records(path: Path, plan: SearchPlan) -> Iterator[CandidateRecord]:
     """The records of one of the plan's record files, read lazily.  A line
     whose rank is not canonical or lies outside the plan's range, or whose
-    fingerprints are not lowercase hex of the plan's width, raises
-    ValueError."""
+    fingerprints are not lowercase hex of the plan's width, raises a
+    ValueError that names the file; so does a blank line."""
     lo, hi = plan.resolved_range()
     hex_fp = re.compile(f"[0-9a-f]{{{len(fingerprint_lags(plan.length))}}}")
-    with open(path) as f:
+    with open(path, errors="surrogateescape") as f:
         for line in f:
-            if not line.strip():
-                continue
-            rec = CandidateRecord.parse(line)
+            rec = _parse_record(path, line)
             if not (hex_fp.fullmatch(rec.fp1) and hex_fp.fullmatch(rec.fp2) and lo <= rec.rank < hi):
                 raise ValueError(f"{path}: malformed record {rec.line()!r}")
             yield rec
@@ -446,7 +434,7 @@ def _drop_records_after(path: Path, last: int) -> None:
     keep = 0
     with open(path, "rb+") as f:
         for line in f:
-            if not line.endswith(b"\n") or CandidateRecord.parse(line.decode()).rank > last:
+            if not line.endswith(b"\n") or _parse_record(path, line.decode(errors="surrogateescape")).rank > last:
                 break
             keep += len(line)
         f.truncate(keep)

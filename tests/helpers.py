@@ -1,15 +1,18 @@
-"""Shared decoding helpers, reference symmetry and multiplier checks, and
-per-lag reference verifiers for the test suite."""
+"""Shared decoding helpers, reference symmetry and multiplier checks,
+per-lag reference verifiers and the reference join for the test suite."""
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from legendre_pairs import sequences as sq
 from legendre_pairs.nt import OrbitDecomposition, Subgroup, orbit_decomposition
+from legendre_pairs.search import CandidateRecord, MatchResult, SearchPlan
 from legendre_pairs.sequences import EPS, BinarySequence, cyclic_shift, revert
-from legendre_pairs.verify import LegendrePairResult, PairFailure
+from legendre_pairs.verify import LegendrePairResult, PairFailure, verify_pair
 from legendre_pairs.ranking import (
     Composition,
     OrbitSelection,
@@ -142,3 +145,32 @@ def reference_verify_pair(
     if length % 3 == 0:
         psd_third = (sq.psd_exact_third(a), sq.psd_exact_third(b))
     return LegendrePairResult(a, b, tuple(sums), psd_third, reference_pair_class_id(a, b))
+
+
+def reference_join(
+    record_sets: Sequence[tuple[SearchPlan, Iterable[CandidateRecord]]],
+) -> list[MatchResult]:
+    """``search.match_candidates`` as one in-memory sort of every record's two
+    tagged sides, ``(fp, side, plan index, rank)``, with fp1 tagged 0 and fp2
+    tagged 1; each unordered pair of a fingerprint group is reported once."""
+    plans = [plan for plan, _ in record_sets]
+    entries = sorted(
+        entry
+        for pi, (_, records) in enumerate(record_sets)
+        for rec in records
+        for entry in ((rec.fp1, 0, pi, rec.rank), (rec.fp2, 1, pi, rec.rank))
+    )
+    results = []
+    seen = set()
+    for _, group in groupby(entries, key=itemgetter(0)):
+        sides: tuple[list, list] = ([], [])
+        for _, side, pi, rank in group:
+            sides[side].append((pi, rank))
+        for ka in sides[0]:
+            for kb in sides[1]:
+                pair_key = (ka, kb) if ka <= kb else (kb, ka)
+                if pair_key not in seen:
+                    seen.add(pair_key)
+                    res = verify_pair(plans[ka[0]].decode(ka[1]), plans[kb[0]].decode(kb[1]))
+                    results.append(MatchResult(plans[ka[0]], ka[1], plans[kb[0]], kb[1], res if res else None))
+    return results

@@ -2,9 +2,12 @@
 
 import hashlib
 import itertools
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legendre_pairs import pipeline, ranking, search
 from legendre_pairs.nt import Subgroup, orbit_decomposition, representative_lags, subgroups_of_order, unit_group
@@ -22,11 +25,10 @@ from legendre_pairs.search import (
     run_search,
     split_ranges,
     write_plan,
-    _external_sort,
 )
 
 import known_pairs as kp
-from helpers import decode_indices, decomp_for, selection_to_rank
+from helpers import decode_indices, decomp_for, reference_join, selection_to_rank
 
 
 def collect(plan: SearchPlan):
@@ -181,19 +183,6 @@ class TestRunSearch:
             SearchPlan(9, (1,), ((1, 5),), 1, rank_range=(0, 10**9))
 
 
-class TestExternalSort:
-    def test_spill_path_sorted(self, monkeypatch):
-        monkeypatch.setattr(search, "SORT_CHUNK_SIZE", 64)
-        items = [(f"{v:04d}", 0, v) for v in range(500, 0, -1)]
-        out = list(_external_sort(iter(items)))
-        assert out == sorted(items)
-
-    def test_in_memory_path(self, monkeypatch):
-        monkeypatch.setattr(search, "SORT_CHUNK_SIZE", 10)
-        items = [("b", 0, 1), ("a", 1, 2)]
-        assert list(_external_sort(iter(items))) == sorted(items)
-
-
 class TestMatching:
     def test_mixed_lengths_rejected(self):
         p1 = SearchPlan(9, (1,), ((1, 5),), 1)
@@ -212,17 +201,52 @@ class TestMatching:
             if not m.verified:
                 assert m.pair is None
 
-    def test_spilled_sort_gives_the_in_memory_matches(self, monkeypatch):
-        # l = 15, H = {1, 11}: 40 records, 100 pairs; a chunk of 7 tuples
-        # spills the join's sort to 11 files
+    def test_join_equals_reference_join(self):
+        # l = 15, H = {1, 11}: 40 records, 100 pairs
         record_sets = []
         for plan in build_plans(15, Subgroup(15, (1, 11))):
             records, _ = collect(plan)
             record_sets.append((plan, records))
-        in_memory = match_candidates(record_sets)
-        monkeypatch.setattr(search, "SORT_CHUNK_SIZE", 7)
-        assert match_candidates(record_sets) == in_memory
-        assert len(in_memory) == 100 and all(m.verified for m in in_memory)
+        matches = match_candidates(record_sets)
+        assert matches == reference_join(record_sets)
+        assert len(matches) == 100 and all(m.verified for m in matches)
+
+    # l = 9, H = {1}: one plan of each polarity, 126 ranks each
+    PLANS_9 = (SearchPlan(9, (1,), ((1, 5),), 1), SearchPlan(9, (1,), ((1, 4),), -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(
+            *(
+                st.lists(
+                    st.builds(
+                        CandidateRecord,
+                        st.integers(0, plan.space_size() - 1),
+                        st.text("01", min_size=3, max_size=3),
+                        st.text("01", min_size=3, max_size=3),
+                    ),
+                    max_size=30,
+                )
+                for plan in PLANS_9
+            )
+        )
+    )
+    def test_join_equals_reference_join_on_dense_fingerprints(self, records):
+        # two-letter fingerprints: large groups, self matches, matches across
+        # the plans and false candidates
+        record_sets = list(zip(self.PLANS_9, records))
+        assert match_candidates(record_sets) == reference_join(record_sets)
+
+    def test_join_keeps_ranks_past_2_63(self):
+        # l = 117, H = {1}: ranks exceed 2^63 and must come back exactly
+        plan = build_plans(117, Subgroup(117, (1,)), polarities=(1,))[0]
+        top = plan.space_size() - 1
+        fp, other = "0" * 57, "1" * 57
+        records = [CandidateRecord(top, fp, other), CandidateRecord(top - 1, other, fp), CandidateRecord(2**63, fp, fp)]
+        matches = match_candidates([(plan, records)])
+        assert matches == reference_join([(plan, records)])
+        assert {m.rank_a for m in matches} | {m.rank_b for m in matches} == {top, top - 1, 2**63}
+        assert top > 2**64
 
 
 class TestLoadRecordSets:
@@ -252,19 +276,36 @@ class TestLoadRecordSets:
         "line",
         [
             "1 000 00\n", "1 000 0000\n", "1 00A 000\n", "1 00g 000\n", "40 000 000\n", "-1 000 000\n",
-            "7\n", "1_0 000 000\n", "+16 000 000\n", "010 000 000\n", "\u0661\u0660 000 000\n",
+            "7\n", "1_0 000 000\n", "+16 000 000\n", "010 000 000\n", "\u0661\u0660 000 000\n", "\n", "   \n",
         ],
         ids=[
             "short", "long", "uppercase", "not-hex", "rank-past-range", "negative-rank", "rank-only",
-            "rank-underscore", "rank-plus-sign", "rank-leading-zero", "rank-non-ascii-digits",
+            "rank-underscore", "rank-plus-sign", "rank-leading-zero", "rank-non-ascii-digits", "blank",
+            "whitespace-only",
         ],
     )
     def test_malformed_record_rejected(self, plan_dir, line):
         # l = 9 fingerprints have 4 lags minus lag 3: three hex digits
-        (plan_dir / "part-0001.rec").write_text(line, encoding="utf-8")
+        path = plan_dir / "part-0001.rec"
+        path.write_text(line, encoding="utf-8")
         [(_, records)] = load_record_sets(sorted(plan_dir.glob("part-*.rec")))
-        with pytest.raises(ValueError, match="malformed record"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed record"):
             list(records)
+
+    @pytest.mark.parametrize(
+        "line", [b"\n", b"   \n", b"1\xff 000 000\n"], ids=["blank", "whitespace-only", "not-utf-8"]
+    )
+    def test_malformed_line_error_names_the_file(self, plan_dir, line):
+        # the reader and the resume's truncation both reject the line ahead
+        # of the file's records, and both name the file
+        path = plan_dir / "part-0000.rec"
+        path.write_bytes(line + path.read_bytes())
+        plan = read_plan(plan_dir)
+        named = f"^{re.escape(str(path))}: malformed record"
+        with pytest.raises(ValueError, match=named):
+            list(read_records(path, plan))
+        with pytest.raises(ValueError, match=named):
+            run_chunk(plan, 0, 40, path)
 
 
 def failing_record(n: int):
